@@ -8,6 +8,18 @@
  * instead of reading garbage.  Floating-point values travel as their
  * IEEE-754 bit patterns, which makes round-trips bit-exact — the
  * resume tests compare RunMetrics doubles with operator== on purpose.
+ *
+ * Each serialized type writes its wire format down once, in a
+ * direction-agnostic body (DESIGN.md §7, "Serde convention"):
+ *
+ *     template <class Self, class Ar>
+ *     static void serde(Self &self, Ar &ar);
+ *
+ * Saving instantiates it with Self = const T and Ar = Serializer;
+ * loading with Self = T and Ar = Deserializer.  Both archives spell
+ * every primitive the same way (`ar.u64(self._field)`), and
+ * `Ar::kLoading` gates load-only validation and the rebuild of
+ * derived state.
  */
 
 #ifndef SBORAM_CKPT_SERDE_HH
@@ -40,6 +52,8 @@ fnv1a(const std::uint8_t *data, std::size_t len,
 class Serializer
 {
   public:
+    static constexpr bool kLoading = false;
+
     void u8(std::uint8_t v) { _bytes.push_back(v); }
 
     void
@@ -101,6 +115,32 @@ class Serializer
             u64(x);
     }
 
+    /** A bool or enum field that travels as one byte. */
+    template <class T>
+    void
+    u8As(const T &v)
+    {
+        u8(static_cast<std::uint8_t>(v));
+    }
+
+    /** Count-prefixed sequence; @p fn writes one element. */
+    template <class C, class Fn>
+    void
+    seq(const C &c, Fn &&fn)
+    {
+        u64(c.size());
+        for (const auto &e : c)
+            fn(e);
+    }
+
+    /** A member object with its own saveState/loadState pair. */
+    template <class T>
+    void
+    nested(const T &obj)
+    {
+        obj.saveState(*this);
+    }
+
     const std::vector<std::uint8_t> &buffer() const { return _bytes; }
     std::vector<std::uint8_t> take() { return std::move(_bytes); }
 
@@ -115,8 +155,57 @@ class Serializer
 class Deserializer
 {
   public:
+    static constexpr bool kLoading = true;
+
     Deserializer(const std::uint8_t *data, std::size_t len)
         : _data(data), _len(len) {}
+
+    // By-reference spellings, matching the Serializer's, for the
+    // shared serde bodies.  The value-returning reads below stay for
+    // callers that decode a field without a destination object.
+    void u8(std::uint8_t &v) { v = u8(); }
+    void u32(std::uint32_t &v) { v = u32(); }
+    void u64(std::uint64_t &v) { v = u64(); }
+    void f64(double &v) { v = f64(); }
+    void str(std::string &v) { v = str(); }
+    void vecU8(std::vector<std::uint8_t> &v) { v = vecU8(); }
+    void vecU32(std::vector<std::uint32_t> &v) { v = vecU32(); }
+    void vecU64(std::vector<std::uint64_t> &v) { v = vecU64(); }
+
+    /** A bool or enum field that travels as one byte. */
+    template <class T>
+    void
+    u8As(T &v)
+    {
+        v = static_cast<T>(u8());
+    }
+
+    /**
+     * Count-prefixed sequence: resizes @p c to the stored count, then
+     * @p fn reads each element in place.  Every element occupies at
+     * least one byte, so a count beyond the bytes left is a truncated
+     * snapshot, rejected before the resize.
+     */
+    template <class C, class Fn>
+    void
+    seq(C &c, Fn &&fn)
+    {
+        const std::uint64_t n = u64();
+        if (n > remaining())
+            need(_len);  // Guaranteed to throw CkptTruncatedError.
+        c.clear();
+        c.resize(static_cast<std::size_t>(n));
+        for (auto &e : c)
+            fn(e);
+    }
+
+    /** A member object with its own saveState/loadState pair. */
+    template <class T>
+    void
+    nested(T &obj)
+    {
+        obj.loadState(*this);
+    }
 
     std::uint8_t
     u8()
@@ -244,6 +333,22 @@ class Deserializer
     std::size_t _len;
     std::size_t _pos = 0;
 };
+
+/**
+ * A table length the configuration fixes (geometry): written as a
+ * u64, and on load a snapshot whose length differs is rejected with
+ * CkptMismatchError(@p what) before any element is read.
+ */
+template <class Ar>
+void
+fixedLength(Ar &ar, std::uint64_t expected, const char *what)
+{
+    std::uint64_t n = expected;
+    ar.u64(n);
+    if constexpr (Ar::kLoading)
+        if (n != expected)
+            throw CkptMismatchError(what);
+}
 
 } // namespace ckpt
 } // namespace sboram

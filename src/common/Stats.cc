@@ -1,5 +1,7 @@
 #include "Stats.hh"
 
+#include <algorithm>
+
 #include "Logging.hh"
 
 namespace sboram {
@@ -16,6 +18,23 @@ gmean(const std::vector<double> &values)
         logSum += std::log(v);
     }
     return std::exp(logSum / static_cast<double>(values.size()));
+}
+
+SortedCut
+sortedCut(std::vector<std::uint64_t> sample)
+{
+    SortedCut cut;
+    if (sample.empty())
+        return cut;
+    std::sort(sample.begin(), sample.end());
+    cut.count = sample.size();
+    cut.p50 = nearestRank(sample, 500);
+    cut.p99 = nearestRank(sample, 990);
+    cut.p999 = nearestRank(sample, 999);
+    cut.max = sample.back();
+    for (std::uint64_t v : sample)
+        cut.total += v;
+    return cut;
 }
 
 double

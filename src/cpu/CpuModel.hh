@@ -82,40 +82,26 @@ struct CpuCursor
 
     CpuRunResult partial;
 
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u64(accessesDone);
-        out.u64(time);
-        out.u64(nextIdx);
-        out.u64(cores.size());
-        for (const Core &c : cores) {
-            out.u64(c.idx);
-            out.u64(c.lastIssue);
-            out.u64(c.lastForward);
-            out.vecU64(c.forwards);
-        }
-        out.u64(partial.finishTime);
-        out.u64(partial.reads);
-        out.u64(partial.writes);
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
-    void
-    loadState(ckpt::Deserializer &in)
+  private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
     {
-        accessesDone = in.u64();
-        time = in.u64();
-        nextIdx = in.u64();
-        cores.assign(static_cast<std::size_t>(in.u64()), Core{});
-        for (Core &c : cores) {
-            c.idx = in.u64();
-            c.lastIssue = in.u64();
-            c.lastForward = in.u64();
-            c.forwards = in.vecU64();
-        }
-        partial.finishTime = in.u64();
-        partial.reads = in.u64();
-        partial.writes = in.u64();
+        ar.u64(self.accessesDone);
+        ar.u64(self.time);
+        ar.u64(self.nextIdx);
+        ar.seq(self.cores, [&](auto &c) {
+            ar.u64(c.idx);
+            ar.u64(c.lastIssue);
+            ar.u64(c.lastForward);
+            ar.vecU64(c.forwards);
+        });
+        ar.u64(self.partial.finishTime);
+        ar.u64(self.partial.reads);
+        ar.u64(self.partial.writes);
     }
 };
 

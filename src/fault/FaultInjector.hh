@@ -193,52 +193,44 @@ class FaultInjector
      * counters.  The config and PRF key are reconstructed from
      * FaultConfig at construction, so they do not travel.
      */
-    void
-    saveState(ckpt::Serializer &out) const
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
+
+  private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
     {
-        out.u64(_stats.bitFlips);
-        out.u64(_stats.droppedWrites);
-        out.u64(_stats.stuckBits);
-        out.u64(_stats.stuckReapplied);
+        ar.u64(self._stats.bitFlips);
+        ar.u64(self._stats.droppedWrites);
+        ar.u64(self._stats.stuckBits);
+        ar.u64(self._stats.stuckReapplied);
         // Armed cells in slot-index order: the snapshot must be
         // byte-identical for identical injector state, so the hash
         // map's arbitrary iteration order cannot leak into the image.
-        std::vector<std::uint64_t> slotIdxs;
-        slotIdxs.reserve(_stuck.size());
-        for (const auto &kv : _stuck)  // sblint:allow(unordered-iteration): key collection; serialized in the sorted order below
-            slotIdxs.push_back(kv.first);
-        std::sort(slotIdxs.begin(), slotIdxs.end());
-        out.u64(slotIdxs.size());
-        for (std::uint64_t slotIdx : slotIdxs) {
-            const StuckCell &cell = _stuck.at(slotIdx);
-            out.u64(slotIdx);
-            out.u32(cell.bit);
-            out.u32(cell.remaining);
+        std::vector<std::pair<std::uint64_t, StuckCell>> cells;
+        if constexpr (!Ar::kLoading) {
+            // sblint:allow-next-line(unordered-iteration): serialized in the sorted order below
+            cells.assign(self._stuck.begin(), self._stuck.end());
+            std::sort(cells.begin(), cells.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first < b.first;
+                      });
         }
-        out.u32(_reseeds);
+        ar.seq(cells, [&](auto &kv) {
+            ar.u64(kv.first);
+            ar.u32(kv.second.bit);
+            ar.u32(kv.second.remaining);
+        });
+        ar.u32(self._reseeds);
+        if constexpr (Ar::kLoading) {
+            // The PRF key is derived from the generation, not stored.
+            self._stuck.clear();
+            self._stuck.insert(cells.begin(), cells.end());
+            self.rekey();
+        }
     }
 
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        _stats.bitFlips = in.u64();
-        _stats.droppedWrites = in.u64();
-        _stats.stuckBits = in.u64();
-        _stats.stuckReapplied = in.u64();
-        _stuck.clear();
-        const std::uint64_t count = in.u64();
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const std::uint64_t slotIdx = in.u64();
-            StuckCell cell;
-            cell.bit = in.u32();
-            cell.remaining = in.u32();
-            _stuck.emplace(slotIdx, cell);
-        }
-        _reseeds = in.u32();
-        rekey();
-    }
-
-  private:
     /** Derive the PRF key from (cfg.seed, reseed generation). */
     void rekey();
 

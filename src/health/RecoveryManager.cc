@@ -98,53 +98,53 @@ RecoveryManager::noteStashOccupancy(std::uint64_t realCount)
     return 0;
 }
 
+template <class Self, class Ar>
 void
-RecoveryManager::saveState(ckpt::Serializer &out) const
+RecoveryManager::serde(Self &self, Ar &ar)
 {
+    if constexpr (Ar::kLoading) {
+        if (self._cfg.quarantineEnabled()) {
+            self._failures.assign(self._failures.size(), 0);
+            self._quarantined.assign(self._quarantined.size(), 0);
+        }
+    }
     // Sparse encoding in ascending slot order: the table is sized for
     // the whole tree but only storm-beaten slots have nonzero counts,
     // and index order keeps snapshot bytes deterministic.
     std::uint64_t nonzero = 0;
-    for (std::uint64_t i = 0; i < _failures.size(); ++i)
-        if (_failures[i] != 0)
+    for (std::uint32_t count : self._failures)
+        if (count != 0)
             ++nonzero;
-    out.u64(nonzero);
-    for (std::uint64_t i = 0; i < _failures.size(); ++i) {
-        if (_failures[i] == 0)
-            continue;
-        out.u64(i);
-        out.u32(_failures[i]);
-        out.u8(_quarantined[i]);
+    ar.u64(nonzero);
+    std::uint64_t idx = 0;
+    for (std::uint64_t k = 0; k < nonzero; ++k, ++idx) {
+        if constexpr (!Ar::kLoading)
+            while (self._failures[idx] == 0)
+                ++idx;  // Skip to the next storm-beaten slot.
+        ar.u64(idx);
+        if constexpr (Ar::kLoading)
+            if (idx >= self._failures.size())
+                throw CkptMismatchError(
+                    "snapshot quarantine table references slot " +
+                    std::to_string(idx) +
+                    " outside the configured tree (" +
+                    std::to_string(self._failures.size()) + " slots)");
+        ar.u32(self._failures[idx]);
+        ar.u8(self._quarantined[idx]);
     }
-    out.u8(_degraded ? 1 : 0);
-    out.u8(_servicePressure ? 1 : 0);
+    ar.u8As(self._degraded);
+    ar.u8As(self._servicePressure);
+    if constexpr (Ar::kLoading) {
+        // Derived from the table, not serialized.
+        self._quarantinedCount = 0;
+        for (std::uint8_t flag : self._quarantined)
+            if (flag != 0)
+                ++self._quarantinedCount;
+    }
 }
 
-void
-RecoveryManager::loadState(ckpt::Deserializer &in)
-{
-    if (_cfg.quarantineEnabled()) {
-        _failures.assign(_failures.size(), 0);
-        _quarantined.assign(_quarantined.size(), 0);
-    }
-    _quarantinedCount = 0;
-    const std::uint64_t nonzero = in.u64();
-    for (std::uint64_t k = 0; k < nonzero; ++k) {
-        const std::uint64_t idx = in.u64();
-        const std::uint32_t count = in.u32();
-        const std::uint8_t flag = in.u8();
-        if (idx >= _failures.size())
-            throw CkptMismatchError(
-                "snapshot quarantine table references slot " +
-                std::to_string(idx) + " outside the configured tree (" +
-                std::to_string(_failures.size()) + " slots)");
-        _failures[idx] = count;
-        _quarantined[idx] = flag;
-        if (flag)
-            ++_quarantinedCount;
-    }
-    _degraded = in.u8() != 0;
-    _servicePressure = in.u8() != 0;
-}
+template void RecoveryManager::serde(const RecoveryManager &,
+                                     ckpt::Serializer &);
+template void RecoveryManager::serde(RecoveryManager &, ckpt::Deserializer &);
 
 } // namespace sboram

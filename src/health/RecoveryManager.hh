@@ -148,10 +148,13 @@ class RecoveryManager
     }
 
     /** Snapshot serde; appended to the ORAM section (version 4). */
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     HealthConfig _cfg;
     /** Per-slot detected-failure counts; empty unless quarantine is
      *  enabled, so disabled configs pay one vector-empty test. */

@@ -91,66 +91,8 @@ class DramModel
     const DramGeometry &geometry() const { return _geo; }
 
     /** Checkpoint bank/rank/channel timing state and the counters. */
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u64(_banks.size());
-        for (const Bank &b : _banks) {
-            out.u8(b.rowOpen ? 1 : 0);
-            out.u64(b.openRow);
-            out.u64(b.nextColumnAt);
-            out.u64(b.lastActivateAt);
-            out.u64(b.prechargeOkAt);
-        }
-        out.u64(_ranks.size());
-        for (const Rank &r : _ranks) {
-            out.u64(r.nextColumnAt);
-            out.u64(r.lastActivateAt);
-            out.u64(r.writeToReadOkAt);
-        }
-        out.u64(_channels.size());
-        for (const Channel &c : _channels) {
-            out.u64(c.busFreeAt);
-            out.u8(c.lastWasWrite ? 1 : 0);
-        }
-        out.u64(_stats.activates);
-        out.u64(_stats.reads);
-        out.u64(_stats.writes);
-        out.u64(_stats.rowHits);
-        out.u64(_stats.rowMisses);
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        if (in.u64() != _banks.size())
-            throw CkptMismatchError("DRAM bank count mismatch");
-        for (Bank &b : _banks) {
-            b.rowOpen = in.u8() != 0;
-            b.openRow = in.u64();
-            b.nextColumnAt = in.u64();
-            b.lastActivateAt = in.u64();
-            b.prechargeOkAt = in.u64();
-        }
-        if (in.u64() != _ranks.size())
-            throw CkptMismatchError("DRAM rank count mismatch");
-        for (Rank &r : _ranks) {
-            r.nextColumnAt = in.u64();
-            r.lastActivateAt = in.u64();
-            r.writeToReadOkAt = in.u64();
-        }
-        if (in.u64() != _channels.size())
-            throw CkptMismatchError("DRAM channel count mismatch");
-        for (Channel &c : _channels) {
-            c.busFreeAt = in.u64();
-            c.lastWasWrite = in.u8() != 0;
-        }
-        _stats.activates = in.u64();
-        _stats.reads = in.u64();
-        _stats.writes = in.u64();
-        _stats.rowHits = in.u64();
-        _stats.rowMisses = in.u64();
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
     struct Bank
@@ -174,6 +116,39 @@ class DramModel
         Cycles busFreeAt = 0;
         bool lastWasWrite = false;
     };
+
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ckpt::fixedLength(ar, self._banks.size(),
+                          "DRAM bank count mismatch");
+        for (auto &b : self._banks) {
+            ar.u8As(b.rowOpen);
+            ar.u64(b.openRow);
+            ar.u64(b.nextColumnAt);
+            ar.u64(b.lastActivateAt);
+            ar.u64(b.prechargeOkAt);
+        }
+        ckpt::fixedLength(ar, self._ranks.size(),
+                          "DRAM rank count mismatch");
+        for (auto &r : self._ranks) {
+            ar.u64(r.nextColumnAt);
+            ar.u64(r.lastActivateAt);
+            ar.u64(r.writeToReadOkAt);
+        }
+        ckpt::fixedLength(ar, self._channels.size(),
+                          "DRAM channel count mismatch");
+        for (auto &c : self._channels) {
+            ar.u64(c.busFreeAt);
+            ar.u8As(c.lastWasWrite);
+        }
+        ar.u64(self._stats.activates);
+        ar.u64(self._stats.reads);
+        ar.u64(self._stats.writes);
+        ar.u64(self._stats.rowHits);
+        ar.u64(self._stats.rowMisses);
+    }
 
     /** Schedule one block; returns its data-complete time. */
     Cycles scheduleBlock(Cycles earliestStart, const DramCoord &c,

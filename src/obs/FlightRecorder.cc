@@ -1,5 +1,6 @@
 #include "obs/FlightRecorder.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -112,39 +113,41 @@ FlightRecorder::renderJson(const std::string &label) const
     return out;
 }
 
+template <class Self, class Ar>
 void
-FlightRecorder::saveState(ckpt::Serializer &out) const
+FlightRecorder::serde(Self &self, Ar &ar)
 {
-    out.u64(_ring.size());
-    out.u64(_total);
-    for (const FlightEvent &e : events()) {
-        out.u64(e.cycle);
-        out.u64(e.a);
-        out.u64(e.b);
-        out.u8(static_cast<std::uint8_t>(e.kind));
+    std::uint64_t capacity = self._ring.size();
+    ar.u64(capacity);
+    ar.u64(self._total);
+    // Only the retained tail travels, oldest first; its length is
+    // implied by (capacity, total).
+    std::vector<FlightEvent> kept;
+    if constexpr (Ar::kLoading) {
+        self._ring.assign(capacity == 0 ? 1 : capacity, FlightEvent{});
+        kept.resize(static_cast<std::size_t>(
+            std::min<std::uint64_t>(self._total, self._ring.size())));
+    } else {
+        kept = self.events();
+    }
+    for (FlightEvent &e : kept) {
+        ar.u64(e.cycle);
+        ar.u64(e.a);
+        ar.u64(e.b);
+        ar.u8As(e.kind);
+    }
+    if constexpr (Ar::kLoading) {
+        // The ring cursor is derived from the total: put the tail
+        // back where record() had written it.
+        const std::uint64_t first = self._total - kept.size();
+        for (std::size_t i = 0; i < kept.size(); ++i)
+            self._ring[(first + i) % self._ring.size()] = kept[i];
     }
 }
 
-void
-FlightRecorder::loadState(ckpt::Deserializer &in)
-{
-    const std::uint64_t capacity = in.u64();
-    const std::uint64_t total = in.u64();
-    _ring.assign(capacity == 0 ? 1 : capacity, FlightEvent{});
-    _total = 0;
-    const std::uint64_t kept =
-        total < _ring.size() ? total : _ring.size();
-    // Replay the retained tail through record() so the ring cursor
-    // lands exactly where the saved run left it.
-    _total = total - kept;
-    for (std::uint64_t i = 0; i < kept; ++i) {
-        const std::uint64_t cycle = in.u64();
-        const std::uint64_t a = in.u64();
-        const std::uint64_t b = in.u64();
-        const FlightKind kind = static_cast<FlightKind>(in.u8());
-        record(cycle, kind, a, b);
-    }
-}
+template void FlightRecorder::serde(const FlightRecorder &,
+                                    ckpt::Serializer &);
+template void FlightRecorder::serde(FlightRecorder &, ckpt::Deserializer &);
 
 void
 publishFlightDump(const std::string &label, const std::string &json)

@@ -108,10 +108,13 @@ class FlightRecorder
     /** One strict-JSON dump object (label, totals, event list). */
     std::string renderJson(const std::string &label) const;
 
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     std::vector<FlightEvent> _ring;
     std::uint64_t _total = 0;
 };

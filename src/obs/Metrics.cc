@@ -90,52 +90,50 @@ MetricRegistry::histograms() const
     return out;
 }
 
+template <class Self, class Ar>
 void
-MetricRegistry::saveState(ckpt::Serializer &out) const
+MetricRegistry::serde(Self &self, Ar &ar)
 {
-    out.u64(_counters.size());
-    for (const auto &c : _counters) {
-        out.str(c.name);
-        out.u64(c.item.value);
+    // Counters and histograms travel as (name, state) pairs.  The
+    // save side writes the registered metrics themselves; the load
+    // side cannot mirror that, because metrics are registered (in the
+    // same deterministic order) by the restored run's own wiring: it
+    // reads each pair into scratch and matches it by name, so a
+    // registration-order drift is caught rather than silently
+    // misattributed.
+    std::vector<Named<Counter>> counters;
+    std::vector<Named<HistogramSink>> histograms;
+    if constexpr (!Ar::kLoading) {
+        counters = self._counters;
+        histograms = self._histograms;
     }
-    out.u64(_histograms.size());
-    for (const auto &h : _histograms) {
-        out.str(h.name);
-        h.item.saveState(out);
+    ar.seq(counters, [&](auto &c) {
+        ar.str(c.name);
+        ar.u64(c.item.value);
+    });
+    ar.seq(histograms, [&](auto &h) {
+        ar.str(h.name);
+        ar.nested(h.item);
+    });
+    if constexpr (Ar::kLoading) {
+        for (const auto &saved : counters)
+            for (auto &c : self._counters)
+                if (c.name == saved.name) {
+                    c.item.value = saved.item.value;
+                    break;
+                }
+        for (auto &saved : histograms)
+            for (auto &h : self._histograms)
+                if (h.name == saved.name) {
+                    h.item = std::move(saved.item);
+                    break;
+                }
     }
 }
 
-void
-MetricRegistry::loadState(ckpt::Deserializer &in)
-{
-    // Counters/histograms were registered in the same deterministic
-    // order by the restored run's own wiring; names are matched so a
-    // registration-order drift is caught rather than silently
-    // misattributed.
-    const std::uint64_t counters = in.u64();
-    for (std::uint64_t i = 0; i < counters; ++i) {
-        const std::string name = in.str();
-        const std::uint64_t value = in.u64();
-        for (auto &c : _counters) {
-            if (c.name == name) {
-                c.item.value = value;
-                break;
-            }
-        }
-    }
-    const std::uint64_t histograms = in.u64();
-    for (std::uint64_t i = 0; i < histograms; ++i) {
-        const std::string name = in.str();
-        HistogramSink scratch(1, 1.0);
-        scratch.loadState(in);
-        for (auto &h : _histograms) {
-            if (h.name == name) {
-                h.item = scratch;
-                break;
-            }
-        }
-    }
-}
+template void MetricRegistry::serde(const MetricRegistry &,
+                                    ckpt::Serializer &);
+template void MetricRegistry::serde(MetricRegistry &, ckpt::Deserializer &);
 
 void
 IntervalSampler::takeSample(std::uint64_t accessesDone,
@@ -183,38 +181,21 @@ IntervalSampler::renderJsonl() const
     return out;
 }
 
+template <class Self, class Ar>
 void
-IntervalSampler::saveState(ckpt::Serializer &out) const
+IntervalSampler::serde(Self &self, Ar &ar)
 {
-    out.u64(_lastSampleAt);
-    out.u64(_rows.size());
-    for (const Row &row : _rows) {
-        out.u64(row.access);
-        out.u64(row.cycles);
-        out.u64(row.values.size());
-        for (double v : row.values)
-            out.f64(v);
-    }
+    ar.u64(self._lastSampleAt);
+    ar.seq(self._rows, [&](auto &row) {
+        ar.u64(row.access);
+        ar.u64(row.cycles);
+        ar.seq(row.values, [&](auto &v) { ar.f64(v); });
+    });
 }
 
-void
-IntervalSampler::loadState(ckpt::Deserializer &in)
-{
-    _lastSampleAt = in.u64();
-    _rows.clear();
-    const std::uint64_t count = in.u64();
-    _rows.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Row row;
-        row.access = in.u64();
-        row.cycles = in.u64();
-        const std::uint64_t n = in.u64();
-        row.values.reserve(n);
-        for (std::uint64_t j = 0; j < n; ++j)
-            row.values.push_back(in.f64());
-        _rows.push_back(std::move(row));
-    }
-}
+template void IntervalSampler::serde(const IntervalSampler &,
+                                     ckpt::Serializer &);
+template void IntervalSampler::serde(IntervalSampler &, ckpt::Deserializer &);
 
 } // namespace obs
 } // namespace sboram

@@ -67,6 +67,9 @@ class HistogramSink
     HistogramSink(std::size_t bins, double width)
         : _width(width <= 0.0 ? 1.0 : width), _counts(bins + 1, 0) {}
 
+    /** Overflow bin only: a restore target whose state is loaded. */
+    HistogramSink() : HistogramSink(0, 1.0) {}
+
     /** Log2-binned sink with @p bins bins plus overflow. */
     static HistogramSink
     makeLog2(std::size_t bins)
@@ -144,25 +147,20 @@ class HistogramSink
     std::uint64_t samples() const { return _n; }
     double binWidth() const { return _width; }
 
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u8(static_cast<std::uint8_t>(_kind));
-        out.f64(_width);
-        out.u64(_n);
-        out.vecU64(_counts);
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        _kind = static_cast<Kind>(in.u8());
-        _width = in.f64();
-        _n = in.u64();
-        _counts = in.vecU64();
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ar.u8As(self._kind);
+        ar.f64(self._width);
+        ar.u64(self._n);
+        ar.vecU64(self._counts);
+    }
+
     Kind _kind = Kind::Linear;
     double _width;
     std::vector<std::uint64_t> _counts;
@@ -212,10 +210,13 @@ class MetricRegistry
     std::vector<NamedHistogram> histograms() const;
 
     /** Counters and histogram contents travel; gauges re-register. */
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     template <typename T>
     struct Named
     {
@@ -269,10 +270,13 @@ class IntervalSampler
     std::string renderJsonl() const;
 
     /** Row buffer and cursor travel in checkpoints. */
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     MetricRegistry &_registry;
     std::uint64_t _interval;
     std::uint64_t _lastSampleAt = 0;

@@ -252,33 +252,33 @@ RunObserver::maybeHeartbeat(std::uint64_t accessesDone)
     _lastBeatAccess = accessesDone;
 }
 
+template <class Self, class Ar>
 void
-RunObserver::saveState(ckpt::Serializer &out) const
+RunObserver::serde(Self &self, Ar &ar)
 {
-    _registry.saveState(out);
-    out.u8(_sampler ? 1 : 0);
-    if (_sampler)
-        _sampler->saveState(out);
-}
-
-void
-RunObserver::loadState(ckpt::Deserializer &in)
-{
-    _registry.loadState(in);
-    if (in.u8() != 0) {
-        if (_sampler) {
-            _sampler->loadState(in);
-        } else {
+    ar.nested(self._registry);
+    bool hasSampler = self._sampler != nullptr;
+    ar.u8As(hasSampler);
+    if (!hasSampler)
+        return;
+    if constexpr (Ar::kLoading) {
+        if (!self._sampler) {
             // The snapshot was written by a metrics-enabled run but
             // this one has metrics off (obs config is not part of the
-            // point fingerprint): consume the section body so later
+            // point fingerprint), so there is no sampler to mirror
+            // the save into: read the body into scratch so later
             // reads stay aligned.
             MetricRegistry scratchRegistry;
             IntervalSampler scratch(scratchRegistry, 1);
-            scratch.loadState(in);
+            ar.nested(scratch);
+            return;
         }
     }
+    ar.nested(*self._sampler);
 }
+
+template void RunObserver::serde(const RunObserver &, ckpt::Serializer &);
+template void RunObserver::serde(RunObserver &, ckpt::Deserializer &);
 
 void
 RunObserver::close()

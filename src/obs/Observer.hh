@@ -78,8 +78,8 @@ class RunObserver
     void finalSample(std::uint64_t accessesDone, std::uint64_t cycles);
 
     /** Counter/sampler/histogram state for ckpt::kSectionObs. */
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
     /**
      * Render and write the artifacts, record them in the process
@@ -89,6 +89,9 @@ class RunObserver
     void close();
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     void maybeHeartbeat(std::uint64_t accessesDone);
 
     ObsConfig _cfg;

@@ -10,23 +10,6 @@
 namespace sboram {
 namespace obs {
 
-namespace {
-
-/** Nearest-rank percentile over a sorted sample, q in thousandths. */
-Cycles
-percentile(const std::vector<Cycles> &sorted, std::uint64_t q)
-{
-    if (sorted.empty())
-        return 0;
-    const std::uint64_t n = sorted.size();
-    std::uint64_t k = (n * q + 999) / 1000;
-    if (k == 0)
-        k = 1;
-    return sorted[k - 1];
-}
-
-} // namespace
-
 StageId
 stageIdOf(const char *name)
 {
@@ -66,47 +49,33 @@ stageName(StageId id)
     return kStageQueueWait;
 }
 
+template <class Self, class Ar>
 void
-TimelineRecord::saveState(ckpt::Serializer &out) const
+TimelineRecord::serde(Self &self, Ar &ar)
 {
-    out.u64(_seq);
-    out.u64(_client);
-    out.u64(_addr);
-    out.u64(_arrival);
-    out.u64(_openStart);
-    out.u8(_inBackoff ? 1 : 0);
-    out.u32(_truncated);
-    out.u64(_nSegs);
-    for (std::size_t i = 0; i < _nSegs; ++i) {
-        out.u64(_segs[i].start);
-        out.u64(_segs[i].end);
-        out.u8(_segs[i].stage);
+    ar.u64(self._seq);
+    ar.u64(self._client);
+    ar.u64(self._addr);
+    ar.u64(self._arrival);
+    ar.u64(self._openStart);
+    ar.u8As(self._inBackoff);
+    ar.u32(self._truncated);
+    std::uint64_t nSegs = self._nSegs;
+    ar.u64(nSegs);
+    if constexpr (Ar::kLoading) {
+        SB_ASSERT(nSegs <= kMaxSegs,
+                  "timeline record overflows its segment array");
+        self._nSegs = static_cast<std::size_t>(nSegs);
     }
-    for (Cycles t : _totals)
-        out.u64(t);
+    for (std::size_t i = 0; i < self._nSegs; ++i)
+        StageSeg::serde(self._segs[i], ar);
+    for (auto &total : self._totals)
+        ar.u64(total);
 }
 
-void
-TimelineRecord::loadState(ckpt::Deserializer &in)
-{
-    _seq = in.u64();
-    _client = in.u64();
-    _addr = in.u64();
-    _arrival = in.u64();
-    _openStart = in.u64();
-    _inBackoff = in.u8() != 0;
-    _truncated = in.u32();
-    _nSegs = static_cast<std::size_t>(in.u64());
-    SB_ASSERT(_nSegs <= kMaxSegs,
-              "timeline record overflows its segment array");
-    for (std::size_t i = 0; i < _nSegs; ++i) {
-        _segs[i].start = in.u64();
-        _segs[i].end = in.u64();
-        _segs[i].stage = in.u8();
-    }
-    for (std::size_t i = 0; i < kStageIdCount; ++i)
-        _totals[i] = in.u64();
-}
+template void TimelineRecord::serde(const TimelineRecord &,
+                                    ckpt::Serializer &);
+template void TimelineRecord::serde(TimelineRecord &, ckpt::Deserializer &);
 
 TimelinePool::TimelinePool(std::size_t capacity)
     : _records(capacity)
@@ -151,37 +120,23 @@ std::array<StageCut, kStageIdCount>
 StageAccumulator::finalize() const
 {
     std::array<StageCut, kStageIdCount> cuts;
-    for (std::size_t i = 0; i < kStageIdCount; ++i) {
-        const std::vector<Cycles> &s = _samples[i];
-        if (s.empty())
-            continue;
-        std::vector<Cycles> sorted = s;
-        std::sort(sorted.begin(), sorted.end());
-        StageCut &cut = cuts[i];
-        cut.count = sorted.size();
-        cut.p50 = percentile(sorted, 500);
-        cut.p99 = percentile(sorted, 990);
-        cut.p999 = percentile(sorted, 999);
-        cut.max = sorted.back();
-        for (Cycles t : sorted)
-            cut.total += t;
-    }
+    for (std::size_t i = 0; i < kStageIdCount; ++i)
+        cuts[i] = sortedCut(_samples[i]);
     return cuts;
 }
 
+template <class Self, class Ar>
 void
-StageAccumulator::saveState(ckpt::Serializer &out) const
+StageAccumulator::serde(Self &self, Ar &ar)
 {
-    for (const std::vector<Cycles> &s : _samples)
-        out.vecU64(s);
+    for (auto &samples : self._samples)
+        ar.vecU64(samples);
 }
 
-void
-StageAccumulator::loadState(ckpt::Deserializer &in)
-{
-    for (std::vector<Cycles> &s : _samples)
-        s = in.vecU64();
-}
+template void StageAccumulator::serde(const StageAccumulator &,
+                                      ckpt::Serializer &);
+template void StageAccumulator::serde(StageAccumulator &,
+                                      ckpt::Deserializer &);
 
 ExemplarReservoir::ExemplarReservoir(PrfKey key, std::size_t perBin,
                                      std::size_t bins)
@@ -270,68 +225,40 @@ ExemplarReservoir::renderJsonl() const
     return out;
 }
 
+template <class Self, class Ar>
 void
-ExemplarReservoir::saveState(ckpt::Serializer &out) const
+ExemplarReservoir::serde(Self &self, Ar &ar)
 {
-    out.u64(_kept.size());
-    for (const auto &kv : _kept) {
-        out.u32(kv.first);
-        out.u64(kv.second.size());
-        for (const Exemplar &e : kv.second) {
-            out.u64(e.priority);
-            out.u64(e.seq);
-            out.u64(e.client);
-            out.u64(e.addr);
-            out.u64(e.arrival);
-            out.u64(e.latency);
-            out.u32(e.attempts);
-            out.u8(e.usedShadow ? 1 : 0);
-            out.u32(e.truncated);
-            out.u64(e.segs.size());
-            for (const StageSeg &seg : e.segs) {
-                out.u64(seg.start);
-                out.u64(seg.end);
-                out.u8(seg.stage);
-            }
-        }
+    // (bin, exemplars) pairs in ascending bin order (the map's own).
+    std::vector<std::pair<std::uint32_t, std::vector<Exemplar>>> bins;
+    if constexpr (!Ar::kLoading)
+        bins.assign(self._kept.begin(), self._kept.end());
+    ar.seq(bins, [&](auto &bin) {
+        ar.u32(bin.first);
+        ar.seq(bin.second, [&](auto &e) {
+            ar.u64(e.priority);
+            ar.u64(e.seq);
+            ar.u64(e.client);
+            ar.u64(e.addr);
+            ar.u64(e.arrival);
+            ar.u64(e.latency);
+            ar.u32(e.attempts);
+            ar.u8As(e.usedShadow);
+            ar.u32(e.truncated);
+            ar.seq(e.segs, [&](auto &seg) { StageSeg::serde(seg, ar); });
+        });
+    });
+    if constexpr (Ar::kLoading) {
+        self._kept.clear();
+        for (auto &[bin, kept] : bins)
+            self._kept.emplace(bin, std::move(kept));
     }
 }
 
-void
-ExemplarReservoir::loadState(ckpt::Deserializer &in)
-{
-    _kept.clear();
-    const std::uint64_t bins = in.u64();
-    for (std::uint64_t b = 0; b < bins; ++b) {
-        const std::uint32_t bin = in.u32();
-        const std::uint64_t n = in.u64();
-        std::vector<Exemplar> kept;
-        kept.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Exemplar e;
-            e.priority = in.u64();
-            e.seq = in.u64();
-            e.client = in.u64();
-            e.addr = in.u64();
-            e.arrival = in.u64();
-            e.latency = in.u64();
-            e.attempts = in.u32();
-            e.usedShadow = in.u8() != 0;
-            e.truncated = in.u32();
-            const std::uint64_t segs = in.u64();
-            e.segs.reserve(segs);
-            for (std::uint64_t s = 0; s < segs; ++s) {
-                StageSeg seg;
-                seg.start = in.u64();
-                seg.end = in.u64();
-                seg.stage = in.u8();
-                e.segs.push_back(seg);
-            }
-            kept.push_back(std::move(e));
-        }
-        _kept.emplace(bin, std::move(kept));
-    }
-}
+template void ExemplarReservoir::serde(const ExemplarReservoir &,
+                                       ckpt::Serializer &);
+template void ExemplarReservoir::serde(ExemplarReservoir &,
+                                       ckpt::Deserializer &);
 
 } // namespace obs
 } // namespace sboram

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "ckpt/Serde.hh"
+#include "common/Stats.hh"
 #include "common/Types.hh"
 #include "crypto/Prf.hh"
 
@@ -64,6 +65,16 @@ struct StageSeg
     Cycles start = 0;
     Cycles end = 0;
     std::uint8_t stage = 0;  ///< StageId.
+
+    /** Wire format: timeline records and exemplars share it. */
+    template <class Self, class Ar>
+    static void
+    serde(Self &seg, Ar &ar)
+    {
+        ar.u64(seg.start);
+        ar.u64(seg.end);
+        ar.u8(seg.stage);
+    }
 };
 
 /**
@@ -142,10 +153,13 @@ class TimelineRecord
         return sum;
     }
 
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     std::uint64_t _seq = 0;
     std::uint64_t _client = 0;
     std::uint64_t _addr = 0;
@@ -191,16 +205,9 @@ class TimelinePool
     std::vector<std::uint32_t> _free;
 };
 
-/** Exact per-stage latency cut of one run (attribution table row). */
-struct StageCut
-{
-    std::uint64_t count = 0;  ///< Completions with time in the stage.
-    Cycles p50 = 0;
-    Cycles p99 = 0;
-    Cycles p999 = 0;
-    Cycles max = 0;
-    Cycles total = 0;  ///< Sum over all completions.
-};
+/** Exact per-stage latency cut of one run (attribution table row):
+ *  count = completions with time in the stage. */
+using StageCut = SortedCut;
 
 /**
  * Collects per-stage durations of every completion and cuts exact
@@ -217,10 +224,13 @@ class StageAccumulator
     /** Exact per-stage cuts (index = StageId). */
     std::array<StageCut, kStageIdCount> finalize() const;
 
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     std::array<std::vector<Cycles>, kStageIdCount> _samples;
 };
 
@@ -250,10 +260,13 @@ class ExemplarReservoir
 
     std::size_t size() const;
 
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     struct Exemplar
     {
         std::uint64_t priority = 0;

@@ -96,27 +96,21 @@ class SloMonitor
     std::uint64_t breaches() const { return _breaches; }
     std::uint64_t worstBurnMilli() const { return _worstBurnMilli; }
 
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u64(_inWindow);
-        out.u64(_badInWindow);
-        out.u64(_windows);
-        out.u64(_breaches);
-        out.u64(_worstBurnMilli);
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        _inWindow = in.u64();
-        _badInWindow = in.u64();
-        _windows = in.u64();
-        _breaches = in.u64();
-        _worstBurnMilli = in.u64();
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ar.u64(self._inWindow);
+        ar.u64(self._badInWindow);
+        ar.u64(self._windows);
+        ar.u64(self._breaches);
+        ar.u64(self._worstBurnMilli);
+    }
+
     std::int64_t
     closeWindow()
     {

@@ -54,86 +54,75 @@ OramTree::countReal() const
     return n;
 }
 
+template <class Self, class Ar>
 void
-OramTree::saveState(ckpt::Serializer &out) const
+OramTree::serde(Self &self, Ar &ar)
 {
-    out.u64(_store.size());
-    for (const Slot &s : _store) {
-        out.u32(s.addr);
-        out.u32(s.leaf);
-        out.u32(s.version);
-        out.u8(static_cast<std::uint8_t>(s.type));
+    std::uint64_t slots = self._store.size();
+    ar.u64(slots);
+    if constexpr (Ar::kLoading)
+        if (slots != self._store.size())
+            throw CkptMismatchError(
+                "tree slot count mismatch: snapshot has " +
+                std::to_string(slots) + ", geometry has " +
+                std::to_string(self._store.size()));
+    for (auto &s : self._store) {
+        ar.u32(s.addr);
+        ar.u32(s.leaf);
+        ar.u32(s.version);
+        ar.u8As(s.type);
     }
+
     // Ciphertext slab: only occupied slots travel, in ascending
     // slot-index order (the slab's natural order), each as
     // (slotIdx, nonce, tag, laneCount, lanes) — the same wire shape
     // the pre-slab side table used.  Erased slots' stale lane words
     // never reach the image.
-    out.u64(countCiphers());
-    for (std::uint64_t slotIdx = 0; slotIdx < _cipherNonce.size();
-         ++slotIdx) {
-        if (_cipherNonce[slotIdx] == 0)
-            continue;
-        out.u64(slotIdx);
-        out.u64(_cipherNonce[slotIdx]);
-        out.u64(_cipherTag[slotIdx]);
-        out.u64(_payloadWords);
-        const std::uint64_t *lanes =
-            &_cipherLanes[slotIdx * _payloadWords];
-        for (std::uint64_t i = 0; i < _payloadWords; ++i)
-            out.u64(lanes[i]);
+    std::uint64_t ciphers = self.countCiphers();
+    ar.u64(ciphers);
+    if constexpr (Ar::kLoading) {
+        if (!self._payloadEnabled && ciphers != 0)
+            throw CkptMismatchError(
+                "snapshot carries " + std::to_string(ciphers) +
+                " ciphertexts but payloads are disabled");
+        std::fill(self._cipherNonce.begin(), self._cipherNonce.end(), 0);
+        std::fill(self._cipherTag.begin(), self._cipherTag.end(), 0);
+    }
+    std::uint64_t slotIdx = 0;
+    for (std::uint64_t i = 0; i < ciphers; ++i, ++slotIdx) {
+        if constexpr (!Ar::kLoading)
+            while (self._cipherNonce[slotIdx] == 0)
+                ++slotIdx;  // Skip to the next occupied slot.
+        ar.u64(slotIdx);
+        if constexpr (Ar::kLoading)
+            if (slotIdx >= self._store.size())
+                throw CkptMismatchError(
+                    "ciphertext slot index " + std::to_string(slotIdx) +
+                    " beyond geometry (" +
+                    std::to_string(self._store.size()) + " slots)");
+        ar.u64(self._cipherNonce[slotIdx]);
+        if constexpr (Ar::kLoading)
+            if (self._cipherNonce[slotIdx] == 0)
+                throw CkptMismatchError(
+                    "ciphertext entry with nonce 0 (the empty-slot "
+                    "sentinel) at slot " + std::to_string(slotIdx));
+        ar.u64(self._cipherTag[slotIdx]);
+        std::uint64_t laneCount = self._payloadWords;
+        ar.u64(laneCount);
+        if constexpr (Ar::kLoading)
+            if (laneCount != self._payloadWords)
+                throw CkptMismatchError(
+                    "ciphertext lane count mismatch at slot " +
+                    std::to_string(slotIdx) + ": snapshot has " +
+                    std::to_string(laneCount) + ", geometry has " +
+                    std::to_string(self._payloadWords));
+        auto *lanes = &self._cipherLanes[slotIdx * self._payloadWords];
+        for (std::uint64_t w = 0; w < self._payloadWords; ++w)
+            ar.u64(lanes[w]);
     }
 }
 
-void
-OramTree::loadState(ckpt::Deserializer &in)
-{
-    const std::uint64_t slots = in.u64();
-    if (slots != _store.size())
-        throw CkptMismatchError(
-            "tree slot count mismatch: snapshot has " +
-            std::to_string(slots) + ", geometry has " +
-            std::to_string(_store.size()));
-    for (Slot &s : _store) {
-        s.addr = in.u32();
-        s.leaf = in.u32();
-        s.version = in.u32();
-        s.type = static_cast<BlockType>(in.u8());
-    }
-    if (_payloadEnabled) {
-        std::fill(_cipherNonce.begin(), _cipherNonce.end(), 0);
-        std::fill(_cipherTag.begin(), _cipherTag.end(), 0);
-    }
-    const std::uint64_t ciphers = in.u64();
-    if (!_payloadEnabled && ciphers != 0)
-        throw CkptMismatchError(
-            "snapshot carries " + std::to_string(ciphers) +
-            " ciphertexts but payloads are disabled");
-    for (std::uint64_t i = 0; i < ciphers; ++i) {
-        const std::uint64_t slotIdx = in.u64();
-        if (slotIdx >= _store.size())
-            throw CkptMismatchError(
-                "ciphertext slot index " + std::to_string(slotIdx) +
-                " beyond geometry (" + std::to_string(_store.size()) +
-                " slots)");
-        const std::uint64_t nonce = in.u64();
-        if (nonce == 0)
-            throw CkptMismatchError(
-                "ciphertext entry with nonce 0 (the empty-slot "
-                "sentinel) at slot " + std::to_string(slotIdx));
-        _cipherNonce[slotIdx] = nonce;
-        _cipherTag[slotIdx] = in.u64();
-        const std::uint64_t laneCount = in.u64();
-        if (laneCount != _payloadWords)
-            throw CkptMismatchError(
-                "ciphertext lane count mismatch at slot " +
-                std::to_string(slotIdx) + ": snapshot has " +
-                std::to_string(laneCount) + ", geometry has " +
-                std::to_string(_payloadWords));
-        std::uint64_t *lanes = &_cipherLanes[slotIdx * _payloadWords];
-        for (std::uint64_t w = 0; w < _payloadWords; ++w)
-            lanes[w] = in.u64();
-    }
-}
+template void OramTree::serde(const OramTree &, ckpt::Serializer &);
+template void OramTree::serde(OramTree &, ckpt::Deserializer &);
 
 } // namespace sboram

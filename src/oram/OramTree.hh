@@ -152,11 +152,14 @@ class OramTree
     std::uint64_t countReal() const;
 
     /** Serialize slots + ciphertext slab into a checkpoint section. */
-    void saveState(ckpt::Serializer &out) const;
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
     /** Restore from a checkpoint; geometry must match construction. */
-    void loadState(ckpt::Deserializer &in);
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     unsigned _leafLevel;
     unsigned _slots;
     std::uint64_t _numBuckets;

@@ -45,34 +45,8 @@ class Plb
     unsigned numSets() const { return _numSets; }
     unsigned associativity() const { return _assoc; }
 
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u64(_useCounter);
-        out.u64(_hits);
-        out.u64(_misses);
-        out.u64(_ways.size());
-        for (const Way &w : _ways) {
-            out.u8(w.valid ? 1 : 0);
-            out.u64(w.tag);
-            out.u64(w.lastUse);
-        }
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        _useCounter = in.u64();
-        _hits = in.u64();
-        _misses = in.u64();
-        if (in.u64() != _ways.size())
-            throw CkptMismatchError("PLB geometry mismatch");
-        for (Way &w : _ways) {
-            w.valid = in.u8() != 0;
-            w.tag = in.u64();
-            w.lastUse = in.u64();
-        }
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
     struct Way
@@ -81,6 +55,21 @@ class Plb
         Addr tag = 0;
         std::uint64_t lastUse = 0;
     };
+
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ar.u64(self._useCounter);
+        ar.u64(self._hits);
+        ar.u64(self._misses);
+        ckpt::fixedLength(ar, self._ways.size(), "PLB geometry mismatch");
+        for (auto &w : self._ways) {
+            ar.u8As(w.valid);
+            ar.u64(w.tag);
+            ar.u64(w.lastUse);
+        }
+    }
 
     std::vector<Way> _ways;  ///< _numSets * _assoc, set-major.
     unsigned _numSets;

@@ -45,18 +45,20 @@ class PositionMap
 
     std::uint64_t size() const { return _labels.size(); }
 
-    void saveState(ckpt::Serializer &out) const { out.vecU32(_labels); }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        std::vector<std::uint32_t> labels = in.vecU32();
-        if (labels.size() != _labels.size())
-            throw CkptMismatchError("position-map size mismatch");
-        _labels = std::move(labels);
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ckpt::fixedLength(ar, self._labels.size(),
+                          "position-map size mismatch");
+        for (auto &label : self._labels)
+            ar.u32(label);
+    }
+
     std::vector<std::uint32_t> _labels;
 };
 

@@ -141,67 +141,48 @@ Stash::trackOccupancy()
         ++_stats.overflowEvents;
 }
 
+template <class Self, class Ar>
 void
-Stash::saveState(ckpt::Serializer &out) const
+Stash::serde(Self &self, Ar &ar)
 {
-    out.u64(_nextSeq);
-    out.u64(_realCount);
-    out.u64(_stats.peakReal);
-    out.u64(_stats.overflowEvents);
-    out.u64(_stats.mergesRealWins);
-    out.u64(_stats.mergesShadowDup);
-    // Serialize in seq order, not map order: the hash map's iteration
-    // order is an implementation detail that varies across processes,
-    // and a snapshot must be byte-identical for identical stash
-    // contents (generation diffing, resume bit-equality tests).
-    std::vector<const StashEntry *> ordered;
-    ordered.reserve(_entries.size());
-    // Collects every entry, then sorts by the unique seq.
-    // sblint:allow-next-line(unordered-iteration): order canonicalised by the seq sort below
-    for (const auto &kv : _entries)
-        ordered.push_back(&kv.second);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const StashEntry *a, const StashEntry *b) {
-                  return a->seq < b->seq;
-              });
-    out.u64(ordered.size());
-    for (const StashEntry *ep : ordered) {
-        const StashEntry &e = *ep;
-        out.u64(e.addr);
-        out.u64(e.leaf);
-        out.u32(e.version);
-        out.u8(static_cast<std::uint8_t>(e.type));
-        out.u64(e.seq);
-        out.vecU64(e.payload);
+    ar.u64(self._nextSeq);
+    ar.u64(self._realCount);
+    ar.u64(self._stats.peakReal);
+    ar.u64(self._stats.overflowEvents);
+    ar.u64(self._stats.mergesRealWins);
+    ar.u64(self._stats.mergesShadowDup);
+    // Entries travel in seq order, not map order: the hash map's
+    // iteration order is an implementation detail that varies across
+    // processes, and a snapshot must be byte-identical for identical
+    // stash contents (generation diffing, resume bit-equality tests).
+    std::vector<StashEntry> ordered;
+    if constexpr (!Ar::kLoading) {
+        ordered.reserve(self._entries.size());
+        // sblint:allow-next-line(unordered-iteration): order canonicalised by the seq sort below
+        for (const auto &kv : self._entries)
+            ordered.push_back(kv.second);
+        std::sort(ordered.begin(), ordered.end(),
+                  [](const StashEntry &a, const StashEntry &b) {
+                      return a.seq < b.seq;
+                  });
+    }
+    ar.seq(ordered, [&](auto &e) { StashEntry::serde(e, ar); });
+    if constexpr (Ar::kLoading) {
+        // The shadow side-list is derived: rebuilt, never serialized.
+        self._entries.clear();
+        self._shadows.clear();
+        for (StashEntry &e : ordered) {
+            const Addr addr = e.addr;
+            auto [pos, inserted] =
+                self._entries.emplace(addr, std::move(e));
+            (void)inserted;
+            if (pos->second.isShadow())
+                self.addShadow(&pos->second);
+        }
     }
 }
 
-void
-Stash::loadState(ckpt::Deserializer &in)
-{
-    _nextSeq = in.u64();
-    _realCount = in.u64();
-    _stats.peakReal = in.u64();
-    _stats.overflowEvents = in.u64();
-    _stats.mergesRealWins = in.u64();
-    _stats.mergesShadowDup = in.u64();
-    _entries.clear();
-    _shadows.clear();
-    const std::uint64_t count = in.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        StashEntry e;
-        e.addr = in.u64();
-        e.leaf = in.u64();
-        e.version = in.u32();
-        e.type = static_cast<BlockType>(in.u8());
-        e.seq = in.u64();
-        e.payload = in.vecU64();
-        const Addr addr = e.addr;
-        auto [pos, inserted] = _entries.emplace(addr, std::move(e));
-        (void)inserted;
-        if (pos->second.isShadow())
-            addShadow(&pos->second);
-    }
-}
+template void Stash::serde(const Stash &, ckpt::Serializer &);
+template void Stash::serde(Stash &, ckpt::Deserializer &);
 
 } // namespace sboram

@@ -47,6 +47,20 @@ struct StashEntry
     SB_SECRET std::vector<std::uint64_t> payload;
 
     bool isShadow() const { return type == BlockType::Shadow; }
+
+    /** Wire format of one entry: the stash's entries and TinyOram's
+     *  pending eviction shadows share it. */
+    template <class Self, class Ar>
+    static void
+    serde(Self &e, Ar &ar)
+    {
+        ar.u64(e.addr);
+        ar.u64(e.leaf);
+        ar.u32(e.version);
+        ar.u8As(e.type);
+        ar.u64(e.seq);
+        ar.vecU64(e.payload);
+    }
 };
 
 /** Aggregate stash statistics. */
@@ -281,16 +295,19 @@ class Stash
         _recycle = pool;
     }
 
-    /** Serialize entries + counters into a checkpoint section. */
-    void saveState(ckpt::Serializer &out) const;
     /**
-     * Restore from a checkpoint, bypassing merge/capacity logic (the
-     * snapshot already holds a legal post-merge stash).  The hotness
-     * oracle and payload recycler are not state and stay installed.
+     * Checkpoint entries + counters.  Restoring bypasses the
+     * merge/capacity logic (the snapshot already holds a legal
+     * post-merge stash).  The hotness oracle and payload recycler are
+     * not state and stay installed.
      */
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     void trackOccupancy();
     void enforceCapacity();
 

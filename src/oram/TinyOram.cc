@@ -1194,178 +1194,87 @@ TinyOram::peekPayload(Addr addr) const
              static_cast<unsigned long long>(addr));
 }
 
-namespace {
-
+template <class Self, class Ar>
 void
-saveStashEntry(ckpt::Serializer &out, const StashEntry &e)
+TinyOram::serde(Self &self, Ar &ar)
 {
-    out.u64(e.addr);
-    out.u64(e.leaf);
-    out.u32(e.version);
-    out.u8(static_cast<std::uint8_t>(e.type));
-    out.u64(e.seq);
-    out.vecU64(e.payload);
-}
+    ar.u64(self._freeAt);
+    ar.u64(self._lastEvictionDone);
+    ar.u64(self._accessCounter);
+    ar.u64(self._evictionCounter);
+    std::uint64_t nonces = self._codec.noncesIssued();
+    ar.u64(nonces);
 
-StashEntry
-loadStashEntry(ckpt::Deserializer &in)
-{
-    StashEntry e;
-    e.addr = in.u64();
-    e.leaf = in.u64();
-    e.version = in.u32();
-    e.type = static_cast<BlockType>(in.u8());
-    e.seq = in.u64();
-    e.payload = in.vecU64();
-    return e;
-}
-
-} // namespace
-
-void
-TinyOram::saveState(ckpt::Serializer &out) const
-{
-    out.u64(_freeAt);
-    out.u64(_lastEvictionDone);
-    out.u64(_accessCounter);
-    out.u64(_evictionCounter);
-    out.u64(_codec.noncesIssued());
-
-    std::uint64_t rng[4];
-    _remapRng.stateWords(rng);
-    for (std::uint64_t w : rng)
-        out.u64(w);
-    _dummyRng.stateWords(rng);
-    for (std::uint64_t w : rng)
-        out.u64(w);
-
-    out.u64(_stats.requests);
-    out.u64(_stats.stashHits);
-    out.u64(_stats.shadowStashHits);
-    out.u64(_stats.onChipHits);
-    out.u64(_stats.shadowForwards);
-    out.u64(_stats.pathReads);
-    out.u64(_stats.pathWrites);
-    out.u64(_stats.dummyAccesses);
-    out.u64(_stats.posMapAccesses);
-    out.u64(_stats.shadowsWritten);
-    out.u64(_stats.evictions);
-    out.u64(_stats.levelsAdvanced);
-    out.u64(_stats.faultsInjected);
-    out.u64(_stats.faultsDetected);
-    out.u64(_stats.faultsRecovered);
-    out.u64(_stats.faultsUnrecoverable);
-    out.u64(_stats.slotsQuarantined);
-    out.u64(_stats.quarantineEvacuations);
-    out.u64(_stats.degradedEntries);
-    out.u64(_stats.degradedTicks);
-    out.u64(_stats.emergencyEvictions);
-
-    out.vecU8(_realLevel);
-
-    out.u64(_evictShadows.size());
-    for (const StashEntry &e : _evictShadows)
-        saveStashEntry(out, e);
-
-    _tree.saveState(out);
-    _stash.saveState(out);
-    _posMap.saveState(out);
-    _plb.saveState(out);
-
-    out.u8(_faults ? 1 : 0);
-    if (_faults)
-        _faults->saveState(out);
-
-    _health.saveState(out);
-
-    out.u64(_spare.size());
-    for (const auto &[slotIdx, payload] : _spare) {
-        out.u64(slotIdx);
-        out.vecU64(payload);
+    std::uint64_t remap[4];
+    std::uint64_t dummy[4];
+    self._remapRng.stateWords(remap);
+    self._dummyRng.stateWords(dummy);
+    for (std::uint64_t &w : remap)
+        ar.u64(w);
+    for (std::uint64_t &w : dummy)
+        ar.u64(w);
+    if constexpr (Ar::kLoading) {
+        self._codec.restoreNonceCounter(nonces);
+        self._remapRng.setStateWords(remap);
+        self._dummyRng.setStateWords(dummy);
     }
-}
 
-void
-TinyOram::loadState(ckpt::Deserializer &in)
-{
-    _freeAt = in.u64();
-    _lastEvictionDone = in.u64();
-    _accessCounter = in.u64();
-    _evictionCounter = in.u64();
-    _codec.restoreNonceCounter(in.u64());
+    OramStats::serde(self._stats, ar);
 
-    std::uint64_t rng[4];
-    for (std::uint64_t &w : rng)
-        w = in.u64();
-    _remapRng.setStateWords(rng);
-    for (std::uint64_t &w : rng)
-        w = in.u64();
-    _dummyRng.setStateWords(rng);
+    ckpt::fixedLength(ar, self._realLevel.size(),
+                      "realLevel table size mismatch");
+    for (auto &level : self._realLevel)
+        ar.u8(level);
 
-    _stats.requests = in.u64();
-    _stats.stashHits = in.u64();
-    _stats.shadowStashHits = in.u64();
-    _stats.onChipHits = in.u64();
-    _stats.shadowForwards = in.u64();
-    _stats.pathReads = in.u64();
-    _stats.pathWrites = in.u64();
-    _stats.dummyAccesses = in.u64();
-    _stats.posMapAccesses = in.u64();
-    _stats.shadowsWritten = in.u64();
-    _stats.evictions = in.u64();
-    _stats.levelsAdvanced = in.u64();
-    _stats.faultsInjected = in.u64();
-    _stats.faultsDetected = in.u64();
-    _stats.faultsRecovered = in.u64();
-    _stats.faultsUnrecoverable = in.u64();
-    _stats.slotsQuarantined = in.u64();
-    _stats.quarantineEvacuations = in.u64();
-    _stats.degradedEntries = in.u64();
-    _stats.degradedTicks = in.u64();
-    _stats.emergencyEvictions = in.u64();
+    ar.seq(self._evictShadows,
+           [&](auto &e) { StashEntry::serde(e, ar); });
 
-    std::vector<std::uint8_t> realLevel = in.vecU8();
-    if (realLevel.size() != _realLevel.size())
-        throw CkptMismatchError("realLevel table size mismatch");
-    _realLevel = std::move(realLevel);
+    ar.nested(self._tree);
+    ar.nested(self._stash);
+    ar.nested(self._posMap);
+    ar.nested(self._plb);
 
-    _evictShadows.clear();
-    const std::uint64_t nShadows = in.u64();
-    for (std::uint64_t i = 0; i < nShadows; ++i)
-        _evictShadows.push_back(loadStashEntry(in));
+    bool hadFaults = self._faults != nullptr;
+    ar.u8As(hadFaults);
+    if constexpr (Ar::kLoading)
+        if (hadFaults != (self._faults != nullptr))
+            throw CkptMismatchError(
+                "fault-injector presence differs from configuration");
+    if (self._faults)
+        ar.nested(*self._faults);
 
-    _tree.loadState(in);
-    _stash.loadState(in);
-    _posMap.loadState(in);
-    _plb.loadState(in);
+    ar.nested(self._health);
 
-    const bool hadFaults = in.u8() != 0;
-    if (hadFaults != (_faults != nullptr))
-        throw CkptMismatchError(
-            "fault-injector presence differs from configuration");
-    if (_faults)
-        _faults->loadState(in);
-
-    _health.loadState(in);
-
-    _spare.clear();
-    const std::uint64_t nSpare = in.u64();
+    // The spare store is a std::map, so it travels slot-sorted.
+    std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>>
+        spare;
+    if constexpr (!Ar::kLoading)
+        spare.assign(self._spare.begin(), self._spare.end());
     const std::uint64_t numSlots =
-        _tree.numBuckets() * _cfg.slotsPerBucket;
-    if (nSpare > numSlots)
-        throw CkptMismatchError("spare-store table larger than tree");
-    const std::uint64_t words = _cfg.blockBytes / 8;
-    for (std::uint64_t i = 0; i < nSpare; ++i) {
-        const std::uint64_t slotIdx = in.u64();
-        if (slotIdx >= numSlots)
-            throw CkptMismatchError(
-                "spare-store slot index out of range");
-        std::vector<std::uint64_t> payload = in.vecU64();
-        if (payload.size() != words)
-            throw CkptMismatchError(
-                "spare-store payload size mismatch");
-        _spare.emplace(slotIdx, std::move(payload));
+        self._tree.numBuckets() * self._cfg.slotsPerBucket;
+    const std::uint64_t words = self._cfg.blockBytes / 8;
+    ar.seq(spare, [&](auto &entry) {
+        ar.u64(entry.first);
+        ar.vecU64(entry.second);
+        if constexpr (Ar::kLoading) {
+            if (entry.first >= numSlots)
+                throw CkptMismatchError(
+                    "spare-store slot index out of range");
+            if (entry.second.size() != words)
+                throw CkptMismatchError(
+                    "spare-store payload size mismatch");
+        }
+    });
+    if constexpr (Ar::kLoading) {
+        if (spare.size() > numSlots)
+            throw CkptMismatchError("spare-store table larger than tree");
+        self._spare.clear();
+        for (auto &[slotIdx, payload] : spare)
+            self._spare.emplace(slotIdx, std::move(payload));
     }
 }
+
+template void TinyOram::serde(const TinyOram &, ckpt::Serializer &);
+template void TinyOram::serde(TinyOram &, ckpt::Deserializer &);
 
 } // namespace sboram

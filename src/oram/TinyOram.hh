@@ -89,6 +89,34 @@ struct OramStats
     std::uint64_t degradedEntries = 0;     ///< Tier-2 mode entries.
     std::uint64_t degradedTicks = 0;       ///< Accesses spent degraded.
     std::uint64_t emergencyEvictions = 0;  ///< Backpressure sweeps.
+
+    /** Wire format (inside TinyOram's snapshot body). */
+    template <class Self, class Ar>
+    static void
+    serde(Self &s, Ar &ar)
+    {
+        ar.u64(s.requests);
+        ar.u64(s.stashHits);
+        ar.u64(s.shadowStashHits);
+        ar.u64(s.onChipHits);
+        ar.u64(s.shadowForwards);
+        ar.u64(s.pathReads);
+        ar.u64(s.pathWrites);
+        ar.u64(s.dummyAccesses);
+        ar.u64(s.posMapAccesses);
+        ar.u64(s.shadowsWritten);
+        ar.u64(s.evictions);
+        ar.u64(s.levelsAdvanced);
+        ar.u64(s.faultsInjected);
+        ar.u64(s.faultsDetected);
+        ar.u64(s.faultsRecovered);
+        ar.u64(s.faultsUnrecoverable);
+        ar.u64(s.slotsQuarantined);
+        ar.u64(s.quarantineEvacuations);
+        ar.u64(s.degradedEntries);
+        ar.u64(s.degradedTicks);
+        ar.u64(s.emergencyEvictions);
+    }
 };
 
 class TinyOram
@@ -241,11 +269,14 @@ class TinyOram
      * policy's own state is checkpointed separately by the system
      * layer, which knows its concrete type.
      */
-    void saveState(ckpt::Serializer &out) const;
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
     /** Restore a controller built from the identical OramConfig. */
-    void loadState(ckpt::Deserializer &in);
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     struct PathReadOutcome
     {
         Cycles finish = 0;

@@ -52,32 +52,8 @@ class HotAddressCache
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
 
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u64(_hits);
-        out.u64(_misses);
-        out.u64(_ways.size());
-        for (const Way &w : _ways) {
-            out.u8(w.valid ? 1 : 0);
-            out.u64(w.tag);
-            out.u32(w.counter);
-        }
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        _hits = in.u64();
-        _misses = in.u64();
-        if (in.u64() != _ways.size())
-            throw CkptMismatchError("hot-address-cache geometry mismatch");
-        for (Way &w : _ways) {
-            w.valid = in.u8() != 0;
-            w.tag = in.u64();
-            w.counter = in.u32();
-        }
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
     struct Way
@@ -86,6 +62,21 @@ class HotAddressCache
         Addr tag = 0;
         std::uint32_t counter = 0;
     };
+
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ar.u64(self._hits);
+        ar.u64(self._misses);
+        ckpt::fixedLength(ar, self._ways.size(),
+                          "hot-address-cache geometry mismatch");
+        for (auto &w : self._ways) {
+            ar.u8As(w.valid);
+            ar.u64(w.tag);
+            ar.u32(w.counter);
+        }
+    }
 
     std::vector<Way> _ways;
     unsigned _numSets;

@@ -74,26 +74,28 @@ class PartitionController
         }
     }
 
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u32(_level);
-        out.u8(_prevWasDummy ? 1 : 0);
-        out.u32(_counter.value());
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        const std::uint32_t level = in.u32();
-        if (level > _maxLevel)
-            throw CkptMismatchError("partition level out of range");
-        _level = level;
-        _prevWasDummy = in.u8() != 0;
-        _counter.set(in.u32());
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        std::uint32_t level = self._level;
+        ar.u32(level);
+        if constexpr (Ar::kLoading) {
+            if (level > self._maxLevel)
+                throw CkptMismatchError("partition level out of range");
+            self._level = level;
+        }
+        ar.u8As(self._prevWasDummy);
+        std::uint32_t counter = self._counter.value();
+        ar.u32(counter);
+        if constexpr (Ar::kLoading)
+            self._counter.set(counter);
+    }
+
     PartitionController(unsigned level, unsigned maxLevel,
                         unsigned counterBits)
         : _level(level), _maxLevel(maxLevel),

@@ -93,31 +93,23 @@ class ShadowPolicy : public DuplicationPolicy
      * durable pieces travel: hot cache, partition state, stats, and
      * the candidate sequence counter.
      */
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u64(_candidateSeq);
-        out.u64(_stats.rdDuplications);
-        out.u64(_stats.hdDuplications);
-        out.u64(_stats.dummySlotsSeen);
-        out.u64(_stats.partitionAdjustments);
-        _hot.saveState(out);
-        _partition.saveState(out);
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        _candidateSeq = in.u64();
-        _stats.rdDuplications = in.u64();
-        _stats.hdDuplications = in.u64();
-        _stats.dummySlotsSeen = in.u64();
-        _stats.partitionAdjustments = in.u64();
-        _hot.loadState(in);
-        _partition.loadState(in);
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ar.u64(self._candidateSeq);
+        ar.u64(self._stats.rdDuplications);
+        ar.u64(self._stats.hdDuplications);
+        ar.u64(self._stats.dummySlotsSeen);
+        ar.u64(self._stats.partitionAdjustments);
+        ar.nested(self._hot);
+        ar.nested(self._partition);
+    }
+
     ShadowConfig _cfg;
     unsigned _leafLevel;
     void pushCandidate(const DupCandidate &cand);

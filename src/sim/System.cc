@@ -37,23 +37,22 @@ class InsecurePort : public MemoryPort
 
     double busyTime() const { return static_cast<double>(_busy); }
 
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u64(_busy);
-        out.u64(_lastComplete);
-        out.u64(_mem.freeAt());
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        _busy = in.u64();
-        _lastComplete = in.u64();
-        _mem.restoreFreeAt(in.u64());
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ar.u64(self._busy);
+        ar.u64(self._lastComplete);
+        Cycles freeAt = self._mem.freeAt();
+        ar.u64(freeAt);
+        if constexpr (Ar::kLoading)
+            self._mem.restoreFreeAt(freeAt);
+    }
+
     InsecureMemory &_mem;
     Cycles _busy = 0;
     Cycles _lastComplete = 0;
@@ -124,27 +123,21 @@ class OramPort : public MemoryPort
     double dataBusyTime() const { return static_cast<double>(_dataBusy); }
     std::uint64_t dummiesFired() const { return _dummies; }
 
-    void
-    saveState(ckpt::Serializer &out) const
-    {
-        out.u64(_sinceWatchdog);
-        out.u64(_nextSlot);
-        out.u64(_lastComplete);
-        out.u64(_dataBusy);
-        out.u64(_dummies);
-    }
-
-    void
-    loadState(ckpt::Deserializer &in)
-    {
-        _sinceWatchdog = in.u64();
-        _nextSlot = in.u64();
-        _lastComplete = in.u64();
-        _dataBusy = in.u64();
-        _dummies = in.u64();
-    }
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ar.u64(self._sinceWatchdog);
+        ar.u64(self._nextSlot);
+        ar.u64(self._lastComplete);
+        ar.u64(self._dataBusy);
+        ar.u64(self._dummies);
+    }
+
     void
     fireDummy(Cycles slot)
     {
@@ -164,6 +157,52 @@ class OramPort : public MemoryPort
     Cycles _dataBusy = 0;
     std::uint64_t _dummies = 0;
 };
+
+/**
+ * The RunMetrics fields a run carries across snapshots and rollbacks
+ * (kSectionMetrics).  They also close the final-result wire format.
+ */
+template <class M, class Ar>
+void
+serdeCarried(M &m, Ar &ar)
+{
+    ar.u64(m.rollbacks);
+    ar.u64(m.replayedAccesses);
+    ar.vecU64(m.missRetireTimes);
+}
+
+/** Wire format of a completed point's RunMetrics (kSectionResult). */
+template <class M, class Ar>
+void
+serdeRunMetrics(M &m, Ar &ar)
+{
+    ar.u64(m.execTime);
+    ar.f64(m.dataAccessTime);
+    ar.f64(m.driTime);
+    ar.u64(m.requests);
+    ar.u64(m.dummyRequests);
+    ar.u64(m.stashHits);
+    ar.u64(m.shadowStashHits);
+    ar.u64(m.shadowForwards);
+    ar.u64(m.pathReads);
+    ar.u64(m.shadowsWritten);
+    ar.f64(m.onChipHitRate);
+    ar.f64(m.energy);
+    ar.u64(m.stashPeakReal);
+    ar.u64(m.stashOverflows);
+    ar.f64(m.avgForwardLevel);
+    ar.u32(m.finalPartitionLevel);
+    ar.u64(m.faultsInjected);
+    ar.u64(m.faultsDetected);
+    ar.u64(m.faultsRecovered);
+    ar.u64(m.faultsUnrecoverable);
+    ar.u64(m.slotsQuarantined);
+    ar.u64(m.quarantineEvacuations);
+    ar.u64(m.degradedEntries);
+    ar.u64(m.degradedTicks);
+    ar.u64(m.emergencyEvictions);
+    serdeCarried(m, ar);
+}
 
 std::vector<std::vector<LlcMissRecord>>
 perCoreTraces(const std::vector<LlcMissRecord> &trace, unsigned cores,
@@ -341,10 +380,7 @@ runSystem(const SystemConfig &cfg,
             cursor.saveState(w.section(ckpt::kSectionCpu));
             port.saveState(w.section(ckpt::kSectionMem));
             dram.saveState(w.section(ckpt::kSectionDram));
-            ckpt::Serializer &met = w.section(ckpt::kSectionMetrics);
-            met.u64(m.rollbacks);
-            met.u64(m.replayedAccesses);
-            met.vecU64(m.missRetireTimes);
+            serdeCarried(m, w.section(ckpt::kSectionMetrics));
             if (obsPtr != nullptr)
                 obsPtr->saveState(w.section(ckpt::kSectionObs));
         };
@@ -359,9 +395,7 @@ runSystem(const SystemConfig &cfg,
                 cursor.loadState(dCpu);
                 port.loadState(dMem);
                 dram.loadState(dDram);
-                m.rollbacks = dMet.u64();
-                m.replayedAccesses = dMet.u64();
-                m.missRetireTimes = dMet.vecU64();
+                serdeCarried(m, dMet);
                 if (obsPtr != nullptr &&
                     reader->hasSection(ckpt::kSectionObs)) {
                     auto dObs = reader->section(ckpt::kSectionObs);
@@ -516,10 +550,7 @@ runSystem(const SystemConfig &cfg,
         if (shadowPolicy != nullptr)
             shadowPolicy->saveState(w.section(ckpt::kSectionPolicy));
         dram.saveState(w.section(ckpt::kSectionDram));
-        ckpt::Serializer &met = w.section(ckpt::kSectionMetrics);
-        met.u64(m.rollbacks);
-        met.u64(m.replayedAccesses);
-        met.vecU64(m.missRetireTimes);
+        serdeCarried(m, w.section(ckpt::kSectionMetrics));
         flight.saveState(w.section(ckpt::kSectionReqObs));
         if (obsPtr != nullptr)
             obsPtr->saveState(w.section(ckpt::kSectionObs));
@@ -540,9 +571,7 @@ runSystem(const SystemConfig &cfg,
         port.loadState(dPort);
         oram.loadState(dOram);
         dram.loadState(dDram);
-        m.rollbacks = dMet.u64();
-        m.replayedAccesses = dMet.u64();
-        m.missRetireTimes = dMet.vecU64();
+        serdeCarried(m, dMet);
         if (reader.hasSection(ckpt::kSectionReqObs)) {
             auto dReq = reader.section(ckpt::kSectionReqObs);
             flight.loadState(dReq);
@@ -811,68 +840,14 @@ configFingerprint(const SystemConfig &cfg)
 void
 saveRunMetrics(ckpt::Serializer &out, const RunMetrics &m)
 {
-    out.u64(m.execTime);
-    out.f64(m.dataAccessTime);
-    out.f64(m.driTime);
-    out.u64(m.requests);
-    out.u64(m.dummyRequests);
-    out.u64(m.stashHits);
-    out.u64(m.shadowStashHits);
-    out.u64(m.shadowForwards);
-    out.u64(m.pathReads);
-    out.u64(m.shadowsWritten);
-    out.f64(m.onChipHitRate);
-    out.f64(m.energy);
-    out.u64(m.stashPeakReal);
-    out.u64(m.stashOverflows);
-    out.f64(m.avgForwardLevel);
-    out.u32(m.finalPartitionLevel);
-    out.u64(m.faultsInjected);
-    out.u64(m.faultsDetected);
-    out.u64(m.faultsRecovered);
-    out.u64(m.faultsUnrecoverable);
-    out.u64(m.slotsQuarantined);
-    out.u64(m.quarantineEvacuations);
-    out.u64(m.degradedEntries);
-    out.u64(m.degradedTicks);
-    out.u64(m.emergencyEvictions);
-    out.u64(m.rollbacks);
-    out.u64(m.replayedAccesses);
-    out.vecU64(m.missRetireTimes);
+    serdeRunMetrics(m, out);
 }
 
 RunMetrics
 loadRunMetrics(ckpt::Deserializer &in)
 {
     RunMetrics m;
-    m.execTime = in.u64();
-    m.dataAccessTime = in.f64();
-    m.driTime = in.f64();
-    m.requests = in.u64();
-    m.dummyRequests = in.u64();
-    m.stashHits = in.u64();
-    m.shadowStashHits = in.u64();
-    m.shadowForwards = in.u64();
-    m.pathReads = in.u64();
-    m.shadowsWritten = in.u64();
-    m.onChipHitRate = in.f64();
-    m.energy = in.f64();
-    m.stashPeakReal = in.u64();
-    m.stashOverflows = in.u64();
-    m.avgForwardLevel = in.f64();
-    m.finalPartitionLevel = in.u32();
-    m.faultsInjected = in.u64();
-    m.faultsDetected = in.u64();
-    m.faultsRecovered = in.u64();
-    m.faultsUnrecoverable = in.u64();
-    m.slotsQuarantined = in.u64();
-    m.quarantineEvacuations = in.u64();
-    m.degradedEntries = in.u64();
-    m.degradedTicks = in.u64();
-    m.emergencyEvictions = in.u64();
-    m.rollbacks = in.u64();
-    m.replayedAccesses = in.u64();
-    m.missRetireTimes = in.vecU64();
+    serdeRunMetrics(m, in);
     return m;
 }
 

@@ -1,12 +1,13 @@
 #include "svc/Service.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <type_traits>
 
 #include <cstdio>
 
 #include "common/Errors.hh"
 #include "common/Logging.hh"
+#include "common/Stats.hh"
 #include "crypto/Prf.hh"
 #include "obs/FlightRecorder.hh"
 #include "obs/MetricNames.hh"
@@ -18,19 +19,6 @@ namespace sboram {
 namespace svc {
 
 namespace {
-
-/** Nearest-rank percentile over a sorted sample, q in thousandths. */
-Cycles
-percentile(const std::vector<Cycles> &sorted, std::uint64_t q)
-{
-    if (sorted.empty())
-        return 0;
-    const std::uint64_t n = sorted.size();
-    std::uint64_t k = (n * q + 999) / 1000;
-    if (k == 0)
-        k = 1;
-    return sorted[k - 1];
-}
 
 /**
  * Deterministic PRF-jittered exponential backoff for a deadline
@@ -414,58 +402,52 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     };
 
     // --- Checkpointing ----------------------------------------------
-    std::uint64_t lastSnapshotAt = 0;
-    auto saveAll = [&](ckpt::SnapshotWriter &w) {
-        ckpt::Serializer &s = w.section(ckpt::kSectionSvc);
-        _impl->gen.saveState(s);
-        s.u8(pendingValid ? 1 : 0);
-        s.u64(pending.arrival);
-        s.u64(pending.client);
-        s.u64(pending.addr);
-        s.u8(pending.isWrite ? 1 : 0);
-        s.u64(pulled);
-        s.u64(now);
-        s.u64(nextSeq);
-        s.u64(resolved);
-        s.u8(pressureOn ? 1 : 0);
-        s.u64(queue.size());
-        for (const Request &r : queue) {
-            s.u64(r.seq);
-            s.u64(r.client);
-            s.u64(r.addr);
-            s.u8(r.isWrite ? 1 : 0);
-            s.u64(r.arrival);
-            s.u64(r.notBefore);
-            s.u64(r.deadlineAt);
-            s.u32(r.attempts);
-        }
-        s.u64(stats.arrivals);
-        s.u64(stats.admitted);
-        s.u64(stats.completed);
-        s.u64(stats.dedupJoins);
-        s.u64(stats.shadowEarlyCompletions);
-        s.u64(stats.requestsShed);
-        s.u64(stats.shedAdmission);
-        s.u64(stats.shedDeadline);
-        s.u64(stats.retries);
-        s.u64(stats.deadlineMisses);
-        s.u64(stats.maxQueueDepth);
-        s.u64(stats.backpressureEntries);
-        s.u64(stats.backpressureExits);
-        s.u64(stats.issuedAccesses);
-        s.u64(stats.stageBalanceViolations);
-        s.vecU64(latencies);
-        ckpt::Serializer &q = w.section(ckpt::kSectionReqObs);
+    // The scheduler's own state, one body for both directions.
+    auto svcSection = [&](auto &ar) {
+        ar.nested(_impl->gen);
+        ar.u8As(pendingValid);
+        ar.u64(pending.arrival);
+        ar.u64(pending.client);
+        ar.u64(pending.addr);
+        ar.u8As(pending.isWrite);
+        ar.u64(pulled);
+        ar.u64(now);
+        ar.u64(nextSeq);
+        ar.u64(resolved);
+        ar.u8As(pressureOn);
+        ar.seq(queue, [&](auto &r) { Request::serde(r, ar); });
+        ServiceStats::serde(stats, ar);
+        ar.vecU64(latencies);
+    };
+    auto reqObsSection = [&](auto &ar) {
+        constexpr bool loading =
+            std::remove_reference_t<decltype(ar)>::kLoading;
         // Timeline records travel in queue order; slots themselves
         // are re-acquired deterministically on restore.
-        q.u64(queue.size());
-        for (const Request &r : queue)
-            pool.at(static_cast<std::uint32_t>(r.timelineSlot))
-                .saveState(q);
-        stageAcc.saveState(q);
-        exemplars.saveState(q);
-        slo.saveState(q);
-        flight.saveState(q);
+        std::uint64_t recs = queue.size();
+        ar.u64(recs);
+        if constexpr (loading)
+            SB_ASSERT(recs == queue.size(),
+                      "request-obs section carries %llu timeline "
+                      "records for a queue of depth %zu",
+                      static_cast<unsigned long long>(recs),
+                      queue.size());
+        for (Request &r : queue) {
+            if constexpr (loading)
+                r.timelineSlot =
+                    static_cast<std::int32_t>(pool.acquire());
+            ar.nested(
+                pool.at(static_cast<std::uint32_t>(r.timelineSlot)));
+        }
+        ar.nested(stageAcc);
+        ar.nested(exemplars);
+        ar.nested(slo);
+        ar.nested(flight);
+    };
+    std::uint64_t lastSnapshotAt = 0;
+    auto saveAll = [&](ckpt::SnapshotWriter &w) {
+        svcSection(w.section(ckpt::kSectionSvc));
+        reqObsSection(w.section(ckpt::kSectionReqObs));
         oram.saveState(w.section(ckpt::kSectionOram));
         if (_impl->shadowPolicy != nullptr)
             _impl->shadowPolicy->saveState(
@@ -485,62 +467,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             auto dPol = reader.section(ckpt::kSectionPolicy);
             _impl->shadowPolicy->loadState(dPol);
         }
-        _impl->gen.loadState(dSvc);
-        pendingValid = dSvc.u8() != 0;
-        pending.arrival = dSvc.u64();
-        pending.client = dSvc.u64();
-        pending.addr = dSvc.u64();
-        pending.isWrite = dSvc.u8() != 0;
-        pulled = dSvc.u64();
-        now = dSvc.u64();
-        nextSeq = dSvc.u64();
-        resolved = dSvc.u64();
-        pressureOn = dSvc.u8() != 0;
-        queue.clear();
-        const std::uint64_t depth = dSvc.u64();
-        for (std::uint64_t i = 0; i < depth; ++i) {
-            Request r;
-            r.seq = dSvc.u64();
-            r.client = dSvc.u64();
-            r.addr = dSvc.u64();
-            r.isWrite = dSvc.u8() != 0;
-            r.arrival = dSvc.u64();
-            r.notBefore = dSvc.u64();
-            r.deadlineAt = dSvc.u64();
-            r.attempts = dSvc.u32();
-            queue.push_back(r);
-        }
-        stats.arrivals = dSvc.u64();
-        stats.admitted = dSvc.u64();
-        stats.completed = dSvc.u64();
-        stats.dedupJoins = dSvc.u64();
-        stats.shadowEarlyCompletions = dSvc.u64();
-        stats.requestsShed = dSvc.u64();
-        stats.shedAdmission = dSvc.u64();
-        stats.shedDeadline = dSvc.u64();
-        stats.retries = dSvc.u64();
-        stats.deadlineMisses = dSvc.u64();
-        stats.maxQueueDepth = dSvc.u64();
-        stats.backpressureEntries = dSvc.u64();
-        stats.backpressureExits = dSvc.u64();
-        stats.issuedAccesses = dSvc.u64();
-        stats.stageBalanceViolations = dSvc.u64();
-        latencies = dSvc.vecU64();
-        const std::uint64_t recs = dReq.u64();
-        SB_ASSERT(recs == queue.size(),
-                  "request-obs section carries %llu timeline records "
-                  "for a queue of depth %zu",
-                  static_cast<unsigned long long>(recs),
-                  queue.size());
-        for (Request &r : queue) {
-            r.timelineSlot = static_cast<std::int32_t>(pool.acquire());
-            pool.at(static_cast<std::uint32_t>(r.timelineSlot))
-                .loadState(dReq);
-        }
-        stageAcc.loadState(dReq);
-        exemplars.loadState(dReq);
-        slo.loadState(dReq);
-        flight.loadState(dReq);
+        svcSection(dSvc);
+        reqObsSection(dReq);
         obs::forensics().pressure.store(pressureOn ? 1 : 0);
         oram.loadState(dOram);
         _impl->dram.loadState(dDram);
@@ -801,17 +729,13 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     stats.finishTime = now;
     stats.oram = oram.stats();
     if (!latencies.empty()) {
-        std::vector<Cycles> sorted = latencies;
-        std::sort(sorted.begin(), sorted.end());
-        stats.latencyP50 = percentile(sorted, 500);
-        stats.latencyP99 = percentile(sorted, 990);
-        stats.latencyP999 = percentile(sorted, 999);
-        stats.latencyMax = sorted.back();
-        stats.latencyMean =
-            static_cast<double>(std::accumulate(
-                sorted.begin(), sorted.end(),
-                static_cast<std::uint64_t>(0))) /
-            static_cast<double>(sorted.size());
+        const SortedCut cut = sortedCut(latencies);
+        stats.latencyP50 = cut.p50;
+        stats.latencyP99 = cut.p99;
+        stats.latencyP999 = cut.p999;
+        stats.latencyMax = cut.max;
+        stats.latencyMean = static_cast<double>(cut.total) /
+                            static_cast<double>(cut.count);
     }
 
     if (session != nullptr)

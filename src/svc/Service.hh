@@ -134,6 +134,21 @@ struct Request
      *  until admission assigns one.  Not serialized — slots are
      *  re-acquired in queue order on resume. */
     std::int32_t timelineSlot = -1;
+
+    /** Wire format (kSectionSvc queue entries). */
+    template <class Self, class Ar>
+    static void
+    serde(Self &r, Ar &ar)
+    {
+        ar.u64(r.seq);
+        ar.u64(r.client);
+        ar.u64(r.addr);
+        ar.u8As(r.isWrite);
+        ar.u64(r.arrival);
+        ar.u64(r.notBefore);
+        ar.u64(r.deadlineAt);
+        ar.u32(r.attempts);
+    }
 };
 
 /**
@@ -201,6 +216,32 @@ struct ServiceStats
 
     /** Final controller statistics. */
     OramStats oram;
+
+    /**
+     * Wire format of the counters a run accumulates (kSectionSvc).
+     * Everything else is computed when the run ends, so it does not
+     * travel in a snapshot.
+     */
+    template <class Self, class Ar>
+    static void
+    serde(Self &s, Ar &ar)
+    {
+        ar.u64(s.arrivals);
+        ar.u64(s.admitted);
+        ar.u64(s.completed);
+        ar.u64(s.dedupJoins);
+        ar.u64(s.shadowEarlyCompletions);
+        ar.u64(s.requestsShed);
+        ar.u64(s.shedAdmission);
+        ar.u64(s.shedDeadline);
+        ar.u64(s.retries);
+        ar.u64(s.deadlineMisses);
+        ar.u64(s.maxQueueDepth);
+        ar.u64(s.backpressureEntries);
+        ar.u64(s.backpressureExits);
+        ar.u64(s.issuedAccesses);
+        ar.u64(s.stageBalanceViolations);
+    }
 
     /** Resolved fraction: every request must reach a terminal
      *  outcome, so anything below 1.0 is a pipeline failure. */

@@ -61,29 +61,24 @@ ArrivalGenerator::next()
     return rec;
 }
 
+template <class Self, class Ar>
 void
-ArrivalGenerator::saveState(ckpt::Serializer &out) const
+ArrivalGenerator::serde(Self &self, Ar &ar)
 {
     std::uint64_t words[4];
-    _rng.stateWords(words);
-    for (std::uint64_t w : words)
-        out.u64(w);
-    out.u64(_clock);
-    out.u64(_emitted);
+    self._rng.stateWords(words);
+    for (std::uint64_t &w : words)
+        ar.u64(w);
+    ar.u64(self._clock);
+    ar.u64(self._emitted);
+    if constexpr (Ar::kLoading)
+        self._rng.setStateWords(words);
 }
 
-void
-ArrivalGenerator::loadState(ckpt::Deserializer &in)
-{
-    std::uint64_t words[4];
-    for (std::uint64_t &w : words)
-        w = in.u64();
-    const Cycles clock = in.u64();
-    const std::uint64_t emitted = in.u64();
-    _rng.setStateWords(words);
-    _clock = clock;
-    _emitted = emitted;
-}
+template void ArrivalGenerator::serde(const ArrivalGenerator &,
+                                      ckpt::Serializer &);
+template void ArrivalGenerator::serde(ArrivalGenerator &,
+                                      ckpt::Deserializer &);
 
 void
 fingerprintArrivals(ckpt::Serializer &out, const ArrivalConfig &cfg)

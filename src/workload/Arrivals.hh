@@ -109,10 +109,13 @@ class ArrivalGenerator
 
     /** Serialize the cursor (not the config — that is fingerprinted
      *  by the caller and must match on resume). */
-    void saveState(ckpt::Serializer &out) const;
-    void loadState(ckpt::Deserializer &in);
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    template <class Self, class Ar>
+    static void serde(Self &self, Ar &ar);
+
     /** Instantaneous rate multiplier at virtual time @p at. */
     double rateScale(Cycles at) const;
 

@@ -504,6 +504,16 @@ TEST(SbLintRules, ConsumedSerdeReadIsClean)
                             "    return v;\n"
                             "}\n");
     EXPECT_TRUE(fs.empty());
+
+    // The by-reference form of the shared serde bodies reads into its
+    // argument, so nothing is discarded.
+    const auto serde = lintOne("src/ckpt/X.cc",
+                               "template <class Self, class Ar>\n"
+                               "void serde(Self &self, Ar &ar) {\n"
+                               "    ar.u64(self.x);\n"
+                               "    ar.u64(x);\n"
+                               "}\n");
+    EXPECT_TRUE(serde.empty());
 }
 
 // ---------------------------------------------------------------------
