@@ -11,9 +11,11 @@
  * Each scheme point is timed individually after a warm-up pass (trace
  * generation and pool growth amortized out), so the number tracks the
  * steady-state hot path.  Results land in BENCH_throughput.json next
- * to the binary; the simulated metrics are asserted identical between
- * the warm-up and the timed pass, so a nondeterministic access path
- * cannot hide behind a throughput report.
+ * to the binary, each scheme's rate also as a ratio to the Tiny
+ * baseline's (`vs_tiny`; recorded, not gated).  The simulated metrics
+ * are asserted identical between the warm-up and the timed pass, so a
+ * nondeterministic access path cannot hide behind a throughput
+ * report.
  */
 
 #include <chrono>
@@ -112,12 +114,18 @@ runBench()
                      "  \"schemes\": {\n",
                      workload,
                      static_cast<unsigned long long>(accesses));
+        // rows[0] is the Tiny baseline.
+        const double tinyRate = rows.front().accessesPerSec;
         for (std::size_t i = 0; i < rows.size(); ++i) {
             std::fprintf(f,
                          "    \"%s\": {\"wall_seconds\": %.6f, "
-                         "\"accesses_per_sec\": %.1f}%s\n",
+                         "\"accesses_per_sec\": %.1f, "
+                         "\"vs_tiny\": %.3f}%s\n",
                          rows[i].name, rows[i].seconds,
                          rows[i].accessesPerSec,
+                         tinyRate > 0.0
+                             ? rows[i].accessesPerSec / tinyRate
+                             : 0.0,
                          i + 1 < rows.size() ? "," : "");
         }
         std::fprintf(f, "  }\n}\n");

@@ -12,9 +12,13 @@
  * return a candidate to duplicate; the slot then becomes a shadow
  * block.
  *
- * Rule-2 is guaranteed structurally: the write proceeds leaf → root,
- * so every candidate already sits strictly deeper than the dummy slot
- * being offered.
+ * Rule-2 (a shadow sits strictly above its real copy) is the
+ * policy's job and the controller's check: every candidate carries a
+ * bound (DupCandidate::maxLevel) that the policy honours when picking
+ * for a slot, and TinyOram re-checks the real copy's final level
+ * before committing the slot.  Dummy slots are offered root side
+ * first, after every placement of the write is known, so a candidate
+ * placed this write may sit above or below the slot on offer.
  */
 
 #ifndef SBORAM_ORAM_DUPLICATIONPOLICY_HH

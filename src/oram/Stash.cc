@@ -4,32 +4,45 @@
 
 namespace sboram {
 
+SB_HOT StashEntry *
+Stash::displacementVictim()
+{
+    // The list is in seq order, so without an oracle the oldest
+    // shadow is its head, and with one the first cold shadow (hotness
+    // 0) is the (hotness, seq) minimum.  The cursor skips the prefix
+    // already found hot.
+    if (!_hotness)
+        return _shadowHead;
+    for (StashEntry *e = _victimCursor; e; e = e->nextShadow) {
+        if (_hotness->hotnessOf(e->addr) == 0)
+            return e;
+        _victimCursor = e->nextShadow;
+    }
+    // Every shadow is hot, so each holds its own hot-cache entry and
+    // there are at most as many as the cache has entries: take the
+    // strict (hotness, seq) minimum over all of them.
+    StashEntry *victim = nullptr;
+    std::uint32_t coldest = ~std::uint32_t(0);
+    for (StashEntry *e = _shadowHead; e; e = e->nextShadow) {
+        const std::uint32_t hot = _hotness->hotnessOf(e->addr);
+        if (hot < coldest) {
+            coldest = hot;
+            victim = e;
+        }
+    }
+    return victim;
+}
+
 void
 Stash::enforceCapacity()
 {
     // The stash is a fixed-size CAM: shadow entries are replaceable
-    // and get displaced (oldest first) when the structure fills up;
-    // real entries beyond the capacity are an overflow (counted by
-    // trackOccupancy — functionally we keep them so the simulation
-    // can proceed).
+    // and get displaced (coldest, then oldest, first) when the
+    // structure fills up; real entries beyond the capacity are an
+    // overflow (counted by trackOccupancy — functionally we keep them
+    // so the simulation can proceed).
     while (_entries.size() > _capacity) {
-        // Victim selection is a strict minimum over the (hotness,
-        // seq) key and seq is unique, so the choice is identical for
-        // any scan order.  Scanning the shadow side-list touches
-        // exactly the displaceable entries — no hashing, no visits
-        // to real entries.
-        StashEntry *victim = nullptr;
-        std::uint32_t coldest = ~std::uint32_t(0);
-        std::uint64_t oldest = ~std::uint64_t(0);
-        for (StashEntry *e : _shadows) {
-            const std::uint32_t hot =
-                _hotness ? _hotness->hotnessOf(e->addr) : 0;
-            if (hot < coldest || (hot == coldest && e->seq < oldest)) {
-                coldest = hot;
-                oldest = e->seq;
-                victim = e;
-            }
-        }
+        StashEntry *victim = displacementVictim();
         if (victim == nullptr)
             break;  // Only real entries left; overflow accounting.
         removeShadow(victim);
@@ -168,9 +181,11 @@ Stash::serde(Self &self, Ar &ar)
     }
     ar.seq(ordered, [&](auto &e) { StashEntry::serde(e, ar); });
     if constexpr (Ar::kLoading) {
-        // The shadow side-list is derived: rebuilt, never serialized.
+        // The shadow list is derived: rebuilt in seq order, never
+        // serialized.  The victim cursor restarts at its head.
         self._entries.clear();
-        self._shadows.clear();
+        self._shadowHead = self._shadowTail = nullptr;
+        self._victimCursor = nullptr;
         for (StashEntry &e : ordered) {
             const Addr addr = e.addr;
             auto [pos, inserted] =

@@ -41,9 +41,11 @@ struct StashEntry
     std::uint32_t version = 0;
     BlockType type = BlockType::Dummy;
     std::uint64_t seq = 0;  ///< Insertion order, for determinism.
-    /** Position in the stash's shadow side-list while this entry is a
-     *  stash-resident shadow; transient bookkeeping, not serialized. */
-    std::uint32_t shadowIdx = 0;
+    /** Links in the stash's seq-ordered shadow list while this entry
+     *  is a stash-resident shadow; transient bookkeeping, not
+     *  serialized. */
+    StashEntry *prevShadow = nullptr;
+    StashEntry *nextShadow = nullptr;
     SB_SECRET std::vector<std::uint64_t> payload;
 
     bool isShadow() const { return type == BlockType::Shadow; }
@@ -254,8 +256,8 @@ class Stash
 
     /**
      * Visit every entry (order unspecified by contract).  Callers
-     * that are order-sensitive must collect and sort by the unique
-     * seq — see TinyOram::pathWrite's stash-shadow offers.
+     * that are order-sensitive must sort by the unique seq, or use
+     * forEachShadow() when only shadows matter.
      */
     template <typename Fn>
     void
@@ -266,21 +268,43 @@ class Stash
             fn(kv.second);
     }
 
+    /** Visit every shadow entry in seq (insertion) order. */
+    template <typename Fn>
+    void
+    forEachShadow(Fn &&fn) const
+    {
+        for (const StashEntry *e = _shadowHead; e; e = e->nextShadow)
+            fn(*e);
+    }
+
     /**
      * Install a hotness oracle used to pick shadow-displacement
      * victims: when the CAM fills up, the coldest shadow goes first
-     * (HD-Dup's Hot Address Cache provides the ranking).  Without an
-     * oracle, displacement is oldest-first.  A raw interface pointer
-     * (not owned; must outlive the stash) replaces the previous
-     * std::function: the oracle fires once per shadow entry per
-     * displacement, and the type-erased wrapper was a measured hot
-     * symbol.
+     * (HD-Dup's Hot Address Cache provides the ranking), oldest first
+     * among equals.  Without an oracle, displacement is oldest-first.
+     * Not owned; must outlive the stash.
+     *
+     * The victim search caches which shadows it found hot (see
+     * _victimCursor), so the owner must call hotnessChanged() after
+     * anything that may change the oracle's answers.
      */
     void
     setHotnessOracle(const DuplicationPolicy *policy)
     {
         _hotness = policy;
+        _victimCursor = _shadowHead;
     }
+
+    /** The hotness oracle's answers may have changed: forget which
+     *  shadows are known hot. */
+    void hotnessChanged() { _victimCursor = _shadowHead; }
+
+    /**
+     * The shadow the next displacement would evict: the strict
+     * minimum over (hotness, seq), or nullptr when the stash holds no
+     * shadow.  Exposed for tests; enforceCapacity() is the user.
+     */
+    SB_HOT StashEntry *displacementVictim();
 
     /**
      * Install the pool that receives payload buffers of entries the
@@ -322,23 +346,40 @@ class Stash
             _recycle->release(std::move(entry.payload));
     }
 
-    /** Track @p entry in the shadow side-list (see _shadows). */
+    /**
+     * Append @p entry to the shadow list.  Every caller adds the
+     * entry with the largest seq so far (insert() assigns a fresh
+     * one; a restore re-adds in seq order), so the list stays sorted.
+     */
     void
     addShadow(StashEntry *entry)
     {
-        entry->shadowIdx = static_cast<std::uint32_t>(_shadows.size());
-        _shadows.push_back(entry);
+        entry->prevShadow = _shadowTail;
+        entry->nextShadow = nullptr;
+        if (_shadowTail)
+            _shadowTail->nextShadow = entry;
+        else
+            _shadowHead = entry;
+        _shadowTail = entry;
+        if (!_victimCursor)
+            _victimCursor = entry;
     }
 
-    /** Untrack @p entry: swap-remove (the list is unordered). */
+    /** Unlink @p entry from the shadow list. */
     void
     removeShadow(StashEntry *entry)
     {
-        const std::uint32_t idx = entry->shadowIdx;
-        StashEntry *last = _shadows.back();
-        _shadows[idx] = last;
-        last->shadowIdx = idx;
-        _shadows.pop_back();
+        if (_victimCursor == entry)
+            _victimCursor = entry->nextShadow;
+        if (entry->prevShadow)
+            entry->prevShadow->nextShadow = entry->nextShadow;
+        else
+            _shadowHead = entry->nextShadow;
+        if (entry->nextShadow)
+            entry->nextShadow->prevShadow = entry->prevShadow;
+        else
+            _shadowTail = entry->prevShadow;
+        entry->prevShadow = entry->nextShadow = nullptr;
     }
 
     unsigned _capacity;
@@ -346,13 +387,20 @@ class Stash
     std::uint64_t _realCount = 0;
     std::unordered_map<Addr, StashEntry> _entries;
     /**
-     * Every shadow entry, by pointer (unordered_map nodes are
-     * pointer-stable).  Displacement victim selection scans only
-     * this list instead of hashing through the whole map; the scan
-     * is a strict minimum over the unique (hotness, seq) key, so the
-     * list's order never influences the choice.
+     * Every shadow entry in seq order, as an intrusive list through
+     * the entries themselves (unordered_map nodes are
+     * pointer-stable).  Victim selection and the path write's
+     * stash-shadow offers walk this list instead of the map.
      */
-    std::vector<StashEntry *> _shadows;
+    StashEntry *_shadowHead = nullptr;
+    StashEntry *_shadowTail = nullptr;
+    /**
+     * First shadow not known to be hot: every shadow before it was
+     * hot when displacementVictim() last probed it, and hotness has
+     * not changed since (hotnessChanged() rewinds the cursor to the
+     * head).  nullptr when every shadow is known hot.
+     */
+    StashEntry *_victimCursor = nullptr;
     const DuplicationPolicy *_hotness = nullptr;
     VectorPool *_recycle = nullptr;
     StashStats _stats;

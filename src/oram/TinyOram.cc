@@ -551,19 +551,7 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
         // iteration order is an implementation detail that a
         // checkpoint restore does not reproduce, and the offer order
         // decides which candidates the duplication queues pop first.
-        std::vector<const StashEntry *> &stashShadows =
-            _stashShadowScratch;
-        stashShadows.clear();
-        _stash.forEach([&](const StashEntry &e) {
-            if (e.isShadow())
-                stashShadows.push_back(&e);
-        });
-        std::sort(stashShadows.begin(), stashShadows.end(),
-                  [](const StashEntry *a, const StashEntry *b) {
-                      return a->seq < b->seq;
-                  });
-        for (const StashEntry *ep : stashShadows) {
-            const StashEntry &e = *ep;
+        _stash.forEachShadow([&](const StashEntry &e) {
             const std::uint8_t realLvl = _realLevel[e.addr];
             SB_ASSERT(realLvl != kInStash,
                       "stash shadow coexists with a stash real copy");
@@ -573,7 +561,7 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
                 _placedBufs[placedBufIdx(e.addr)] = e.payload;
             _policy->offerStashShadow(e.addr, e.leaf, e.version,
                                       realLvl, maxLevel);
-        }
+        });
 
         // Shadows vacuumed by this eviction's path read circulate
         // the same way.  If the real copy came off this same path
@@ -1075,6 +1063,9 @@ TinyOram::access(Addr addr, Op op, Cycles issueTime,
               static_cast<unsigned long long>(addr));
     ++_stats.requests;
     _policy->onLlcMiss(addr);
+    // The only hook that changes hotness (the Hot Address Cache
+    // counts LLC misses): the stash's victim search must re-probe.
+    _stash.hotnessChanged();
 
     // Step-1: probe the stash.
     StashEntry *hit = _stash.find(addr);

@@ -450,7 +450,6 @@ class TinyOram
     // the per-write candidate count and stay there).
     std::vector<BucketIndex> _pathBuckets;   ///< Root-first path buckets.
     std::vector<DummySlot> _dummyScratch;
-    std::vector<const StashEntry *> _stashShadowScratch;
     std::vector<std::uint64_t> _faultTargetScratch;
     Stash::EvictionPlan _planScratch;
     /**

@@ -1,5 +1,7 @@
 #include "DupQueues.hh"
 
+#include <algorithm>
+
 namespace sboram {
 
 bool
@@ -19,26 +21,61 @@ DupQueue::better(const DupCandidate &a, const DupCandidate &b) const
     return a.seq > b.seq;
 }
 
-std::optional<DupCandidate>
+SB_HOT std::optional<DupCandidate>
 DupQueue::popFor(unsigned slotLevel)
 {
-    // Strict minimum over the `better` total order among qualifying
-    // candidates; ties only occur between field-identical refill
-    // copies, so the choice does not depend on storage order.  The
-    // winner is removed by swap-with-last (order carries no meaning).
-    std::size_t best = _items.size();
-    for (std::size_t i = 0; i < _items.size(); ++i) {
-        if (_items[i].maxLevel <= slotLevel)
-            continue;
-        if (best == _items.size() || better(_items[i], _items[best]))
-            best = i;
+    if (!_sorted) {
+        std::sort(_items.begin(), _items.end(),
+                  [this](const Item &a, const Item &b) {
+                      return better(a.cand, b.cand);
+                  });
+        _sorted = true;
+        _cursor = 0;
+    } else if (slotLevel < _lastLevel) {
+        _cursor = 0;
     }
-    if (best == _items.size())
-        return std::nullopt;
-    DupCandidate c = _items[best];
-    _items[best] = _items.back();
-    _items.pop_back();
-    return c;
+    _lastLevel = slotLevel;
+
+    for (std::size_t i = _cursor; i < _items.size(); ++i) {
+        Item &it = _items[i];
+        if (it.cand.maxLevel <= slotLevel || copiesLeft(it) == 0)
+            continue;
+        // Everything skipped on the way here stays skippable.
+        _cursor = i;
+        ++it.taken;
+        return it.cand;
+    }
+    _cursor = _items.size();
+    return std::nullopt;
+}
+
+SB_HOT bool
+DupQueue::refill()
+{
+    if (_items.empty())
+        return false;
+    ++_generation;
+    _cursor = 0;
+    return true;
+}
+
+std::size_t
+DupQueue::size() const
+{
+    std::size_t n = 0;
+    for (const Item &it : _items)
+        n += copiesLeft(it);
+    return n;
+}
+
+void
+DupQueue::clear()
+{
+    _items.clear();
+    _sorted = true;
+    _cursor = 0;
+    _lastLevel = 0;
+    _generation = 0;
 }
 
 } // namespace sboram

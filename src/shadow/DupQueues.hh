@@ -45,14 +45,24 @@ struct DupCandidate
 };
 
 /**
- * One priority queue of duplication candidates.  Implemented as an
- * unsorted vector with selection at pop time: push is O(1), popFor
- * scans for the best qualifying candidate.  Pushes vastly outnumber
- * pops on the eviction path (every placed block enters both queues,
- * and refills re-push the whole candidate set), so moving the work
- * to the pop side wins — and `better` is a strict total order (the
- * unique seq breaks every tie), so scan-min selects exactly the
- * element a best-first sorted vector would have popped.
+ * One priority queue of duplication candidates, sorted once and then
+ * consumed through a cursor.
+ *
+ * A path write pushes every candidate before its first pop, so the
+ * first popFor() sorts the candidates best-first and later pops walk
+ * forward from a cursor.  Pass 2 of a path write offers dummy slots
+ * root side first, so the slot levels one queue sees never decrease;
+ * a candidate that fails Rule-2 at one level fails at every later
+ * one, and the cursor passes it for good.  A pop at a lower level
+ * than the previous one rewinds the cursor, and a push after a pop
+ * re-sorts, so the queue pops exactly what a best-first scan would
+ * for any call order — it is only fast for the production order.
+ *
+ * refill() re-adds one copy of every candidate pushed since clear()
+ * in O(1): each candidate keeps the refill generation it was pushed
+ * in and how many copies of it were popped, which together give its
+ * remaining copies.  `better` is a strict total order (the unique seq
+ * breaks every tie), so copies of one candidate are interchangeable.
  */
 class DupQueue
 {
@@ -62,22 +72,57 @@ class DupQueue
 
     explicit DupQueue(Rank rank) : _rank(rank) {}
 
-    void push(const DupCandidate &cand) { _items.push_back(cand); }
+    void
+    push(const DupCandidate &cand)
+    {
+        _items.push_back(Item{cand, _generation, 0});
+        _sorted = false;
+    }
 
     /**
      * Pop the best candidate placed strictly deeper than @p slotLevel
      * (Rule-2), or nullopt when none qualifies.
      */
-    std::optional<DupCandidate> popFor(unsigned slotLevel);
+    SB_HOT std::optional<DupCandidate> popFor(unsigned slotLevel);
 
-    void clear() { _items.clear(); }
-    std::size_t size() const { return _items.size(); }
+    /**
+     * Re-add one copy of every candidate pushed since clear() (a
+     * block may carry several shadow copies per path write).  Returns
+     * false, adding nothing, when no candidate was pushed.
+     */
+    SB_HOT bool refill();
+
+    void clear();
+    /** Copies still queued, refills included. */
+    std::size_t size() const;
 
   private:
+    struct Item
+    {
+        DupCandidate cand;
+        std::uint32_t bornGeneration = 0;  ///< _generation at push.
+        std::uint32_t taken = 0;           ///< Copies popped so far.
+    };
+
     bool better(const DupCandidate &a, const DupCandidate &b) const;
 
+    /** Copies of @p it still queued. */
+    std::uint32_t
+    copiesLeft(const Item &it) const
+    {
+        return _generation + 1 - it.bornGeneration - it.taken;
+    }
+
     Rank _rank;
-    std::vector<DupCandidate> _items;  ///< Unsorted; selected at pop.
+    /** Candidates, best-first once _sorted; storage reused across
+     *  path writes. */
+    std::vector<Item> _items;
+    bool _sorted = true;
+    /** Every item before the cursor is used up or fails Rule-2 at
+     *  _lastLevel (and so at any level at or above it). */
+    std::size_t _cursor = 0;
+    unsigned _lastLevel = 0;
+    std::uint32_t _generation = 0;  ///< Refills since clear().
 };
 
 } // namespace sboram

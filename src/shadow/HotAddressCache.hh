@@ -30,12 +30,13 @@ class HotAddressCache
     void touch(Addr addr);
 
     /**
-     * Access count for @p addr; 0 when not cached.  Defined inline —
-     * the stash's displacement scan and the duplication policy's
-     * candidate ranking call this once per shadow entry per event,
-     * which made an out-of-line probe one of the hottest symbols in
-     * the profile.  The set count is a power of two (the constructor
-     * rounds down), so the set index is a mask, not a division.
+     * Access count for @p addr; 0 when not cached.  Defined inline:
+     * the duplication policy ranks every candidate of a path write
+     * by it, and the stash's displacement-victim search probes the
+     * shadows it has not yet found hot.  The set count is a power of
+     * two (the constructor rounds down), so the set index is a mask,
+     * not a division.  Counters are full 32-bit values (not a few
+     * saturating bits), so callers cannot bucket by count cheaply.
      */
     std::uint32_t
     count(Addr addr) const

@@ -68,7 +68,8 @@ class ShadowPolicy : public DuplicationPolicy
     void offerStashShadow(Addr addr, LeafLabel leaf,
                           std::uint32_t version, unsigned rearLevel,
                           unsigned maxLevel) override;
-    std::optional<ShadowChoice> selectShadow(unsigned level) override;
+    SB_HOT std::optional<ShadowChoice>
+    selectShadow(unsigned level) override;
     void endPathWrite() override;
     void onLlcMiss(Addr addr) override;
     void onRequestClassified(bool wasDummy) override;
@@ -88,10 +89,9 @@ class ShadowPolicy : public DuplicationPolicy
 
     /**
      * Checkpoint the policy at an access boundary.  The duplication
-     * queues and the per-path-write candidate list are rebuilt by
-     * beginPathWrite() and always empty between accesses, so only the
-     * durable pieces travel: hot cache, partition state, stats, and
-     * the candidate sequence counter.
+     * queues are rebuilt by beginPathWrite() and always empty between
+     * accesses, so only the durable pieces travel: hot cache,
+     * partition state, stats, and the candidate sequence counter.
      */
     void saveState(ckpt::Serializer &out) const { serde(*this, out); }
     void loadState(ckpt::Deserializer &in) { serde(*this, in); }
@@ -116,12 +116,12 @@ class ShadowPolicy : public DuplicationPolicy
 
     HotAddressCache _hot;
     PartitionController _partition;
+    /** Both queues hold every candidate offered this path write;
+     *  refills re-add them, so a candidate may be duplicated more
+     *  than once per path write ("shadow block(s)", paper Section
+     *  IV-A). */
     DupQueue _rdQueue;
     DupQueue _hdQueue;
-    /** Everything offered this path write, for queue refills: a
-     *  candidate may be duplicated more than once per path write
-     *  ("shadow block(s)", paper Section IV-A). */
-    std::vector<DupCandidate> _allCandidates;
     std::uint64_t _candidateSeq = 0;
     ShadowPolicyStats _stats;
 };

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+
 #include "common/Rng.hh"
 #include "oram/Stash.hh"
+#include "shadow/HotAddressCache.hh"
 
 using namespace sboram;
 
@@ -238,5 +244,199 @@ TEST(Stash, PlanEvictionConsumptionMatchesShrinkingStash)
             for (Addr a : got)
                 stash.remove(a);
         }
+    }
+}
+
+namespace {
+
+/** Hotness oracle backed by a small Hot Address Cache, so touches
+ *  both raise counts and silently drop LFU-evicted ones to zero. */
+class CacheOracle : public DuplicationPolicy
+{
+  public:
+    std::optional<ShadowChoice>
+    selectShadow(unsigned level) override
+    {
+        (void)level;
+        return std::nullopt;
+    }
+    std::uint32_t
+    hotnessOf(Addr addr) const override
+    {
+        return cache.count(addr);
+    }
+
+    HotAddressCache cache{16, 4};
+};
+
+/**
+ * Reference stash: the merge rules plus displacement by a full strict
+ * (hotness, seq) scan over every shadow, with no index.
+ */
+struct RefStash
+{
+    struct Entry
+    {
+        BlockType type = BlockType::Dummy;
+        std::uint64_t seq = 0;
+    };
+
+    unsigned capacity;
+    const CacheOracle &oracle;
+    std::map<Addr, Entry> entries;
+    std::uint64_t nextSeq = 0;
+
+    /** The strict (hotness, seq) minimum shadow, or kInvalidAddr. */
+    Addr
+    victim() const
+    {
+        Addr best = kInvalidAddr;
+        std::uint32_t bestHot = 0;
+        std::uint64_t bestSeq = 0;
+        for (const auto &[addr, e] : entries) {
+            if (e.type != BlockType::Shadow)
+                continue;
+            const std::uint32_t hot = oracle.hotnessOf(addr);
+            if (best == kInvalidAddr || hot < bestHot ||
+                (hot == bestHot && e.seq < bestSeq)) {
+                best = addr;
+                bestHot = hot;
+                bestSeq = e.seq;
+            }
+        }
+        return best;
+    }
+
+    /** Apply Stash::insert's rules; returns the displaced addresses. */
+    std::vector<Addr>
+    insert(Addr addr, BlockType type)
+    {
+        const std::uint64_t seq = nextSeq++;
+        std::vector<Addr> displaced;
+        auto it = entries.find(addr);
+        if (it != entries.end()) {
+            if (type == BlockType::Real)
+                it->second = Entry{type, seq};  // Real replaces shadow.
+            return displaced;
+        }
+        entries[addr] = Entry{type, seq};
+        while (entries.size() > capacity) {
+            const Addr v = victim();
+            if (v == kInvalidAddr)
+                break;
+            entries.erase(v);
+            displaced.push_back(v);
+        }
+        return displaced;
+    }
+};
+
+/** Expect the stash to hold exactly the reference's entries, with
+ *  its shadow list in seq order. */
+void
+expectSameContents(const Stash &stash, const RefStash &ref)
+{
+    std::map<Addr, RefStash::Entry> got;
+    stash.forEach([&](const StashEntry &e) {
+        got[e.addr] = RefStash::Entry{e.type, e.seq};
+    });
+    ASSERT_EQ(got.size(), ref.entries.size());
+    for (const auto &[addr, e] : ref.entries) {
+        auto it = got.find(addr);
+        ASSERT_NE(it, got.end()) << "addr " << addr;
+        EXPECT_EQ(it->second.type, e.type) << "addr " << addr;
+        EXPECT_EQ(it->second.seq, e.seq) << "addr " << addr;
+    }
+    std::vector<std::uint64_t> shadowSeqs;
+    stash.forEachShadow([&](const StashEntry &e) {
+        EXPECT_TRUE(e.isShadow());
+        shadowSeqs.push_back(e.seq);
+    });
+    EXPECT_TRUE(std::is_sorted(shadowSeqs.begin(), shadowSeqs.end()));
+    EXPECT_EQ(shadowSeqs.size(), stash.shadowCount());
+}
+
+} // namespace
+
+TEST(Stash, VictimIndexMatchesFullScan)
+{
+    // Random inserts (new, real-wins, shadow-dup merges), removes,
+    // dropShadowOf, hot-cache touches that force LFU evictions, and
+    // save/load round trips.  After every step the indexed victim
+    // must be the reference's full-scan (hotness, seq) minimum, and
+    // every displacement must evict exactly the reference's victim.
+    constexpr unsigned kCapacity = 12;
+    constexpr Addr kAddrs = 40;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed);
+        CacheOracle oracle;
+        auto stash = std::make_unique<Stash>(kCapacity);
+        stash->setHotnessOracle(&oracle);
+        RefStash ref{kCapacity, oracle, {}, 0};
+        std::uint64_t displacements = 0;
+
+        for (int step = 0; step < 3000; ++step) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                         std::to_string(step));
+            const Addr addr = rng.below(kAddrs);
+            const std::uint64_t op = rng.below(100);
+            if (op < 50) {
+                const StashEntry *cur = stash->find(addr);
+                BlockType type = rng.chance(0.75) ? BlockType::Shadow
+                                                  : BlockType::Real;
+                if (cur && cur->type == BlockType::Real)
+                    type = BlockType::Shadow;  // Never two reals.
+                std::map<Addr, RefStash::Entry> before;
+                stash->forEach([&](const StashEntry &e) {
+                    before[e.addr] = RefStash::Entry{e.type, e.seq};
+                });
+                const std::vector<Addr> want = ref.insert(addr, type);
+                stash->insert(entry(addr, type));
+                std::vector<Addr> got;
+                for (const auto &kv : before)
+                    if (stash->find(kv.first) == nullptr)
+                        got.push_back(kv.first);
+                if (stash->find(addr) == nullptr)
+                    got.push_back(addr);
+                std::vector<Addr> wantSorted = want;
+                std::sort(wantSorted.begin(), wantSorted.end());
+                std::sort(got.begin(), got.end());
+                EXPECT_EQ(got, wantSorted);
+                displacements += want.size();
+            } else if (op < 60) {
+                if (stash->find(addr) != nullptr) {
+                    stash->remove(addr);
+                    ref.entries.erase(addr);
+                }
+            } else if (op < 68) {
+                stash->dropShadowOf(addr);
+                auto it = ref.entries.find(addr);
+                if (it != ref.entries.end() &&
+                    it->second.type == BlockType::Shadow)
+                    ref.entries.erase(it);
+            } else if (op < 97) {
+                // The owner's contract: hotnessChanged() after every
+                // change to the oracle.
+                oracle.cache.touch(addr);
+                stash->hotnessChanged();
+            } else {
+                ckpt::Serializer out;
+                stash->saveState(out);
+                ckpt::Deserializer in(out.buffer().data(),
+                                      out.buffer().size());
+                stash = std::make_unique<Stash>(kCapacity);
+                stash->setHotnessOracle(&oracle);
+                stash->loadState(in);
+            }
+
+            const StashEntry *v = stash->displacementVictim();
+            const Addr want = ref.victim();
+            EXPECT_EQ(v ? v->addr : kInvalidAddr, want);
+            expectSameContents(*stash, ref);
+            if (HasFailure())
+                return;
+        }
+        // The run must actually exercise displacement.
+        EXPECT_GT(displacements, 100u);
     }
 }
