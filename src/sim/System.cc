@@ -1,7 +1,6 @@
 #include "System.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <memory>
 
@@ -9,10 +8,10 @@
 #include "common/Errors.hh"
 #include "common/Logging.hh"
 #include "mem/EnergyModel.hh"
-#include "obs/FlightRecorder.hh"
 #include "obs/MetricNames.hh"
 #include "obs/Observer.hh"
 #include "security/InvariantChecker.hh"
+#include "sim/Controller.hh"
 #include "workload/SpecProfiles.hh"
 
 namespace sboram {
@@ -249,7 +248,6 @@ runSystem(const SystemConfig &cfg,
         rec.addr %= cfg.oram.dataBlocks;
 
     RunMetrics m;
-    DramModel dram(cfg.dramTiming, cfg.dramGeometry);
     EnergyModel energy(DramEnergy{}, cfg.dramGeometry.channels);
 
     // Observability hub: null unless the config opts in, so every
@@ -263,6 +261,9 @@ runSystem(const SystemConfig &cfg,
         obsPtr->setTotalAccesses(
             trace.size() *
             (cfg.cpu == CpuKind::OutOfOrder ? cfg.cores : 1));
+        if (cfg.obs.metrics)
+            ckptCounter = &obsPtr->registry().counter(
+                obs::kMetricCheckpoints);
     }
 
     CpuCursor cursor;
@@ -368,14 +369,11 @@ runSystem(const SystemConfig &cfg,
     };
 
     if (cfg.scheme == Scheme::Insecure) {
+        DramModel dram(cfg.dramTiming, cfg.dramGeometry);
         InsecureMemory mem(dram);
         InsecurePort port(mem);
-        if (obsPtr != nullptr) {
-            if (cfg.obs.metrics)
-                ckptCounter = &obsPtr->registry().counter(
-                    obs::kMetricCheckpoints);
+        if (obsPtr != nullptr)
             obsPtr->sealRegistry();
-        }
         auto saveAll = [&](ckpt::SnapshotWriter &w) {
             cursor.saveState(w.section(ckpt::kSectionCpu));
             port.saveState(w.section(ckpt::kSectionMem));
@@ -418,31 +416,14 @@ runSystem(const SystemConfig &cfg,
         return m;
     }
 
-    std::unique_ptr<DuplicationPolicy> policy;
-    ShadowPolicy *shadowPolicy = nullptr;
-    if (cfg.scheme == Scheme::Shadow) {
-        const unsigned leafLevel = cfg.oram.deriveLevels();
-        auto sp = std::make_unique<ShadowPolicy>(cfg.shadow,
-                                                 leafLevel);
-        shadowPolicy = sp.get();
-        policy = std::move(sp);
-    }
-
-    TinyOram oram(cfg.oram, dram, std::move(policy));
-
+    Controller ctrl(cfg, Controller::FrontEnd::Batch,
+                    configFingerprint(cfg));
+    TinyOram &oram = ctrl.oram();
+    ShadowPolicy *const shadowPolicy = ctrl.shadowPolicy();
     // Always-on flight recorder for the recovery ladder: quarantines
     // and degraded transitions from the controller, rollbacks and
     // corruption rethrows from the tier-3 loop below.
-    obs::FlightRecorder flight;
-    std::string flightLabel = cfg.obs.label;
-    if (flightLabel.empty()) {
-        char labelBuf[24];
-        std::snprintf(labelBuf, sizeof(labelBuf), "sys-%016llx",
-                      static_cast<unsigned long long>(
-                          configFingerprint(cfg)));
-        flightLabel = labelBuf;
-    }
-    oram.setFlightRecorder(&flight);
+    obs::FlightRecorder &flight = ctrl.flight();
 
     Cycles interval = cfg.tpInterval;
     if (cfg.timingProtection && interval == 0) {
@@ -459,10 +440,9 @@ runSystem(const SystemConfig &cfg,
                   cfg.virtualDummies, cfg.watchdogInterval);
 
     if (obsPtr != nullptr) {
-        oram.setObserver(obsPtr);
+        ctrl.attach(obsPtr);
         if (cfg.obs.metrics) {
             obs::MetricRegistry &reg = obsPtr->registry();
-            ckptCounter = &reg.counter(obs::kMetricCheckpoints);
             // Controller counters are polled as gauges: the ORAM hot
             // path keeps its existing OramStats increments and pays
             // nothing extra per access.
@@ -546,10 +526,7 @@ runSystem(const SystemConfig &cfg,
     auto saveAll = [&](ckpt::SnapshotWriter &w) {
         cursor.saveState(w.section(ckpt::kSectionCpu));
         port.saveState(w.section(ckpt::kSectionPort));
-        oram.saveState(w.section(ckpt::kSectionOram));
-        if (shadowPolicy != nullptr)
-            shadowPolicy->saveState(w.section(ckpt::kSectionPolicy));
-        dram.saveState(w.section(ckpt::kSectionDram));
+        ctrl.save(w);
         serdeCarried(m, w.section(ckpt::kSectionMetrics));
         flight.saveState(w.section(ckpt::kSectionReqObs));
         if (obsPtr != nullptr)
@@ -560,17 +537,10 @@ runSystem(const SystemConfig &cfg,
         // is rejected before any state mutates.
         auto dCpu = reader.section(ckpt::kSectionCpu);
         auto dPort = reader.section(ckpt::kSectionPort);
-        auto dOram = reader.section(ckpt::kSectionOram);
-        auto dDram = reader.section(ckpt::kSectionDram);
         auto dMet = reader.section(ckpt::kSectionMetrics);
-        if (shadowPolicy != nullptr) {
-            auto dPol = reader.section(ckpt::kSectionPolicy);
-            shadowPolicy->loadState(dPol);
-        }
+        ctrl.restore(reader);
         cursor.loadState(dCpu);
         port.loadState(dPort);
-        oram.loadState(dOram);
-        dram.loadState(dDram);
         serdeCarried(m, dMet);
         if (reader.hasSection(ckpt::kSectionReqObs)) {
             auto dReq = reader.section(ckpt::kSectionReqObs);
@@ -639,37 +609,26 @@ runSystem(const SystemConfig &cfg,
             flight.record(cursor.partial.finishTime,
                           obs::FlightKind::Corruption,
                           cursor.accessesDone, rollbacksUsed);
-            if (session == nullptr || cfg.maxAutoRollbacks == 0 ||
-                rollbacksUsed >= cfg.maxAutoRollbacks) {
-                // Fatal: hand the ring to the panic path before the
-                // rethrow unwinds this frame.
-                const std::string dump =
-                    flight.renderJson(flightLabel);
-                obs::publishFlightDump(flightLabel, dump);
-                obs::notePanicFlight(dump);
-                throw;
-            }
             const std::uint64_t failedAt = cursor.accessesDone;
+            const bool budgetLeft = session != nullptr &&
+                                    rollbacksUsed < cfg.maxAutoRollbacks;
             // Escalation within tier 3: when the replay reproduces
             // the failure at the same access, the restored snapshot
             // itself carries the failure (a latent corruption the
             // pre-commit scrub could not heal, or a serialized stuck
             // cell) — abandon the cadence snapshots and restart clean
             // from the trace start.
-            const bool noProgress = failedAt == lastFailedAt;
             std::unique_ptr<ckpt::SnapshotReader> reader;
-            if (!noProgress)
+            if (budgetLeft && failedAt != lastFailedAt)
                 reader = session->loadLatest();
-            if (!reader) {
-                if (pristineImage.empty()) {
-                    const std::string dump =
-                        flight.renderJson(flightLabel);
-                    obs::publishFlightDump(flightLabel, dump);
-                    obs::notePanicFlight(dump);
-                    throw;
-                }
+            if (budgetLeft && !reader && !pristineImage.empty())
                 reader = std::make_unique<ckpt::SnapshotReader>(
                     pristineImage);
+            if (!reader) {
+                // Fatal: hand the ring to the panic path before the
+                // rethrow unwinds this frame.
+                ctrl.panicFlush();
+                throw;
             }
             // The Metrics section in the restored image predates this
             // ladder's own activity; carry the live counters across
@@ -713,7 +672,7 @@ runSystem(const SystemConfig &cfg,
         ? static_cast<double>(os.onChipHits) /
           static_cast<double>(os.requests)
         : 0.0;
-    m.energy = energy.totalEnergy(dram.stats(), m.execTime);
+    m.energy = energy.totalEnergy(ctrl.dram().stats(), m.execTime);
     m.stashPeakReal = oram.stash().stats().peakReal;
     m.stashOverflows = oram.stash().stats().overflowEvents;
     m.faultsInjected = os.faultsInjected;
@@ -729,11 +688,7 @@ runSystem(const SystemConfig &cfg,
     // loop above (and restored from the snapshot on resume).
     if (shadowPolicy)
         m.finalPartitionLevel = shadowPolicy->partitionLevel();
-    // Empty rings stay out of the artifact: most batch points never
-    // touch the recovery ladder.
-    if (!flight.empty())
-        obs::publishFlightDump(flightLabel,
-                               flight.renderJson(flightLabel));
+    ctrl.publishFlight();
     if (obsPtr != nullptr) {
         obsPtr->finalSample(cursor.accessesDone, m.execTime);
         obsPtr->close();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <type_traits>
 
-#include <cstdio>
-
 #include "common/Errors.hh"
 #include "common/Logging.hh"
 #include "common/Stats.hh"
@@ -14,6 +12,7 @@
 #include "obs/Metrics.hh"
 #include "obs/Observer.hh"
 #include "obs/Trace.hh"
+#include "sim/Controller.hh"
 
 namespace sboram {
 namespace svc {
@@ -36,18 +35,19 @@ retryBackoff(const ServiceConfig &cfg, std::uint64_t seq,
     return (base << shift) + prf64(key, seq, attempt) % base;
 }
 
-/** Flight/exemplar artifact label: the configured obs label when one
- *  is set, else the config fingerprint — stable across processes. */
-std::string
-flightLabelOf(const ServiceConfig &cfg)
+/** The memory system under the pipeline as a batch config: what the
+ *  controller is built from and what the fingerprint keys on. */
+SystemConfig
+memorySystem(const ServiceConfig &cfg)
 {
-    if (!cfg.obs.label.empty())
-        return cfg.obs.label;
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "svc-%016llx",
-                  static_cast<unsigned long long>(
-                      serviceConfigFingerprint(cfg)));
-    return buf;
+    SystemConfig sys;
+    sys.scheme = cfg.scheme;
+    sys.oram = cfg.oram;
+    sys.shadow = cfg.shadow;
+    sys.dramTiming = cfg.dramTiming;
+    sys.dramGeometry = cfg.dramGeometry;
+    sys.obs = cfg.obs;
+    return sys;
 }
 
 /** Exemplars kept per log2 latency bin. */
@@ -55,12 +55,11 @@ constexpr std::size_t kExemplarsPerBin = 4;
 
 } // namespace
 
-/** Everything run() needs beyond the controller itself. */
+/** The controller and everything run() needs beyond it. */
 struct ServicePipeline::Impl
 {
     ServiceConfig cfg;
-    DramModel dram;
-    ShadowPolicy *shadowPolicy = nullptr;  ///< Owned by the oram.
+    Controller ctrl;
     ArrivalGenerator gen;
 
     /** Injected arrival list (test seam); empty = use the generator. */
@@ -71,7 +70,10 @@ struct ServicePipeline::Impl
     bool ran = false;
 
     explicit Impl(const ServiceConfig &c)
-        : cfg(c), dram(c.dramTiming, c.dramGeometry), gen(c.arrivals)
+        : cfg(c),
+          ctrl(memorySystem(c), Controller::FrontEnd::Service,
+               serviceConfigFingerprint(c)),
+          gen(c.arrivals)
     {
     }
 };
@@ -95,16 +97,6 @@ ServicePipeline::ServicePipeline(const ServiceConfig &cfg)
     SB_ASSERT(cfg.deadline > 0, "deadline must be positive");
     SB_ASSERT(cfg.arrivals.addressBlocks <= cfg.oram.dataBlocks,
               "arrival address space exceeds the ORAM data space");
-
-    std::unique_ptr<DuplicationPolicy> policy;
-    if (cfg.scheme == Scheme::Shadow) {
-        auto sp = std::make_unique<ShadowPolicy>(
-            cfg.shadow, cfg.oram.deriveLevels());
-        _impl->shadowPolicy = sp.get();
-        policy = std::move(sp);
-    }
-    _oram = std::make_unique<TinyOram>(cfg.oram, _impl->dram,
-                                       std::move(policy));
 }
 
 ServicePipeline::~ServicePipeline() = default;
@@ -112,7 +104,7 @@ ServicePipeline::~ServicePipeline() = default;
 void
 ServicePipeline::setTraceSink(TraceSink *sink)
 {
-    _oram->setTraceSink(sink);
+    _impl->ctrl.oram().setTraceSink(sink);
 }
 
 void
@@ -131,7 +123,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
               "checkpointing is unsupported with injected arrivals");
 
     const ServiceConfig &cfg = _impl->cfg;
-    TinyOram &oram = *_oram;
+    Controller &ctrl = _impl->ctrl;
     const std::uint64_t total =
         _impl->useInjected
             ? static_cast<std::uint64_t>(_impl->injected.size())
@@ -158,11 +150,9 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                cfg.arrivals.seed},
         kExemplarsPerBin, obs::kDefaultLog2Bins);
     obs::SloMonitor slo(cfg.slo);
-    obs::FlightRecorder flight;
-    const std::string flightLabel = flightLabelOf(cfg);
     // Recovery-ladder events (quarantines, degraded transitions) land
     // in the same ring as the scheduler's own control events.
-    oram.setFlightRecorder(&flight);
+    obs::FlightRecorder &flight = ctrl.flight();
 
     // One-record lookahead over the arrival source, so "is the next
     // arrival due" is a field compare instead of a generator call.
@@ -192,7 +182,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         observer = std::make_unique<obs::RunObserver>(cfg.obs);
         obsPtr = observer.get();
         obsPtr->setTotalAccesses(total);
-        oram.setObserver(obsPtr);
+        ctrl.attach(obsPtr);
         if (cfg.obs.metrics) {
             obs::MetricRegistry &reg = obsPtr->registry();
             reg.gauge(obs::kMetricSvcAdmitted, [&stats] {
@@ -274,47 +264,38 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             traceS->instant(obs::kTrackService, "slo_burn", now);
     };
 
-    auto notePressure = [&]() {
-        if (!pressureOn && cfg.queueHighWatermark != 0 &&
-            queue.size() >= cfg.queueHighWatermark) {
-            pressureOn = true;
-            ++stats.backpressureEntries;
-            oram.noteServicePressure(true);
-            flight.record(now, obs::FlightKind::PressureOn,
-                          queue.size());
-            obs::forensics().pressure.store(1);
-            if (_controlLog != nullptr) {
-                ControlRecord rec;
-                rec.kind = ControlRecord::Kind::Pressure;
-                rec.pressureOn = true;
-                _controlLog->push_back(rec);
-            }
-            if (traceS != nullptr)
-                traceS->instant(obs::kTrackService,
-                                "svc_backpressure_enter", now);
-        } else if (pressureOn &&
-                   queue.size() <= cfg.queueLowWatermark) {
-            pressureOn = false;
-            ++stats.backpressureExits;
-            oram.noteServicePressure(false);
-            flight.record(now, obs::FlightKind::PressureOff,
-                          queue.size());
-            obs::forensics().pressure.store(0);
-            if (_controlLog != nullptr) {
-                ControlRecord rec;
-                rec.kind = ControlRecord::Kind::Pressure;
-                rec.pressureOn = false;
-                _controlLog->push_back(rec);
-            }
-            if (traceS != nullptr)
-                traceS->instant(obs::kTrackService,
-                                "svc_backpressure_exit", now);
-        }
+    /** Latch or release service pressure on the controller. */
+    auto setPressure = [&](bool on) {
+        pressureOn = on;
+        ++(on ? stats.backpressureEntries : stats.backpressureExits);
+        ctrl.oram().noteServicePressure(on);
+        flight.record(now,
+                      on ? obs::FlightKind::PressureOn
+                         : obs::FlightKind::PressureOff,
+                      queue.size());
+        obs::forensics().pressure.store(on ? 1 : 0);
+        if (_controlLog != nullptr)
+            _controlLog->push_back(
+                {ControlRecord::Kind::Pressure, 0, false, on});
     };
 
-    auto shed = [&](std::uint64_t client, Cycles arrival,
-                    ShedReason reason) {
-        (void)client;
+    /** Apply the hysteretic queue watermarks. */
+    auto notePressure = [&]() {
+        const bool enter = !pressureOn && cfg.queueHighWatermark != 0 &&
+                           queue.size() >= cfg.queueHighWatermark;
+        const bool release =
+            pressureOn && queue.size() <= cfg.queueLowWatermark;
+        if (!enter && !release)
+            return;
+        setPressure(enter);
+        if (traceS != nullptr)
+            traceS->instant(obs::kTrackService,
+                            enter ? "svc_backpressure_enter"
+                                  : "svc_backpressure_exit",
+                            now);
+    };
+
+    auto shed = [&](Cycles arrival, ShedReason reason) {
         ++stats.requestsShed;
         if (reason == ShedReason::AdmissionFull)
             ++stats.shedAdmission;
@@ -373,8 +354,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                 flight.record(std::max(now, pending.arrival),
                               obs::FlightKind::ShedAdmission,
                               pending.client, pending.arrival);
-                shed(pending.client, pending.arrival,
-                     ShedReason::AdmissionFull);
+                shed(pending.arrival, ShedReason::AdmissionFull);
             } else {
                 Request r;
                 r.seq = nextSeq++;
@@ -448,11 +428,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     auto saveAll = [&](ckpt::SnapshotWriter &w) {
         svcSection(w.section(ckpt::kSectionSvc));
         reqObsSection(w.section(ckpt::kSectionReqObs));
-        oram.saveState(w.section(ckpt::kSectionOram));
-        if (_impl->shadowPolicy != nullptr)
-            _impl->shadowPolicy->saveState(
-                w.section(ckpt::kSectionPolicy));
-        _impl->dram.saveState(w.section(ckpt::kSectionDram));
+        ctrl.save(w);
         if (obsPtr != nullptr)
             obsPtr->saveState(w.section(ckpt::kSectionObs));
     };
@@ -461,17 +437,10 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         // is rejected before any state mutates.
         auto dSvc = reader.section(ckpt::kSectionSvc);
         auto dReq = reader.section(ckpt::kSectionReqObs);
-        auto dOram = reader.section(ckpt::kSectionOram);
-        auto dDram = reader.section(ckpt::kSectionDram);
-        if (_impl->shadowPolicy != nullptr) {
-            auto dPol = reader.section(ckpt::kSectionPolicy);
-            _impl->shadowPolicy->loadState(dPol);
-        }
+        ctrl.restore(reader);
         svcSection(dSvc);
         reqObsSection(dReq);
         obs::forensics().pressure.store(pressureOn ? 1 : 0);
-        oram.loadState(dOram);
-        _impl->dram.loadState(dDram);
         if (obsPtr != nullptr &&
             reader.hasSection(ckpt::kSectionObs)) {
             auto dObs = reader.section(ckpt::kSectionObs);
@@ -576,8 +545,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                     if (r.timelineSlot >= 0)
                         pool.release(static_cast<std::uint32_t>(
                             r.timelineSlot));
-                    shed(r.client, r.arrival,
-                         ShedReason::DeadlineExhausted);
+                    shed(r.arrival, ShedReason::DeadlineExhausted);
                     queue.erase(queue.begin() +
                                 static_cast<std::ptrdiff_t>(pick));
                     notePressure();
@@ -605,15 +573,11 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                 const Request r = queue[pick];
                 queue.erase(queue.begin() +
                             static_cast<std::ptrdiff_t>(pick));
-                if (_controlLog != nullptr) {
-                    ControlRecord rec;
-                    rec.kind = ControlRecord::Kind::Access;
-                    rec.addr = r.addr;
-                    rec.isWrite = r.isWrite;
-                    _controlLog->push_back(rec);
-                }
+                if (_controlLog != nullptr)
+                    _controlLog->push_back({ControlRecord::Kind::Access,
+                                            r.addr, r.isWrite, false});
                 const Cycles issueAt = now;
-                const AccessResult res = oram.access(
+                const AccessResult res = ctrl.oram().access(
                     r.addr, r.isWrite ? Op::Write : Op::Read,
                     issueAt);
                 ++stats.issuedAccesses;
@@ -684,10 +648,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             if (idleIters > cfg.watchdogBound) {
                 flight.record(now, obs::FlightKind::WatchdogTrip,
                               queue.size(), idleIters);
-                const std::string dump =
-                    flight.renderJson(flightLabel);
-                obs::publishFlightDump(flightLabel, dump);
-                obs::notePanicFlight(dump);
+                ctrl.panicFlush();
                 throw ServiceStallError(
                     "no admission, completion or time advance for " +
                         std::to_string(idleIters) + " scheduler "
@@ -699,22 +660,10 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         }
     }
 
-    if (pressureOn) {
-        // Release the latch so the final controller state matches a
-        // pressure-balanced control sequence.
-        pressureOn = false;
-        ++stats.backpressureExits;
-        oram.noteServicePressure(false);
-        flight.record(now, obs::FlightKind::PressureOff,
-                      queue.size());
-        obs::forensics().pressure.store(0);
-        if (_controlLog != nullptr) {
-            ControlRecord rec;
-            rec.kind = ControlRecord::Kind::Pressure;
-            rec.pressureOn = false;
-            _controlLog->push_back(rec);
-        }
-    }
+    // Release the latch so the final controller state matches a
+    // pressure-balanced control sequence.
+    if (pressureOn)
+        setPressure(false);
 
     noteSloBurn(slo.flush());
     stats.sloWindows = slo.windows();
@@ -722,12 +671,10 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     stats.sloWorstBurnMilli = slo.worstBurnMilli();
     stats.stages = stageAcc.finalize();
     stats.exemplarsJsonl = exemplars.renderJsonl();
-    stats.flightJson = flight.renderJson(flightLabel);
-    if (!flight.empty())
-        obs::publishFlightDump(flightLabel, stats.flightJson);
+    stats.flightJson = ctrl.publishFlight();
 
     stats.finishTime = now;
-    stats.oram = oram.stats();
+    stats.oram = ctrl.oram().stats();
     if (!latencies.empty()) {
         const SortedCut cut = sortedCut(latencies);
         stats.latencyP50 = cut.p50;
@@ -763,15 +710,8 @@ serviceConfigFingerprint(const ServiceConfig &cfg)
     // (checkpointInterval, interruptAfterResolved, testForceStall,
     // obs) are deliberately omitted: any cadence resumes to the same
     // outcome.
-    SystemConfig sys;
-    sys.scheme = cfg.scheme;
-    sys.oram = cfg.oram;
-    sys.shadow = cfg.shadow;
-    sys.dramTiming = cfg.dramTiming;
-    sys.dramGeometry = cfg.dramGeometry;
-
     ckpt::Serializer s;
-    s.u64(configFingerprint(sys));
+    s.u64(configFingerprint(memorySystem(cfg)));
     fingerprintArrivals(s, cfg.arrivals);
     s.u64(cfg.requests);
     s.u64(cfg.queueCapacity);

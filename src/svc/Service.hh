@@ -39,7 +39,6 @@
 
 #include "ckpt/Checkpoint.hh"
 #include "common/Types.hh"
-#include "mem/DramModel.hh"
 #include "mem/DramTiming.hh"
 #include "obs/ObsConfig.hh"
 #include "obs/RequestTrace.hh"
@@ -291,12 +290,9 @@ class ServicePipeline
      */
     ServiceStats run(ckpt::CheckpointSession *session = nullptr);
 
-    const TinyOram &oram() const { return *_oram; }
-
   private:
     struct Impl;
     std::unique_ptr<Impl> _impl;
-    std::unique_ptr<TinyOram> _oram;
     std::vector<ControlRecord> *_controlLog = nullptr;
 };
 

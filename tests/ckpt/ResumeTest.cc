@@ -18,6 +18,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include "../obs/PanicFlightUtil.hh"
 #include "ckpt/Checkpoint.hh"
 #include "common/Errors.hh"
 #include "common/Logging.hh"
@@ -422,8 +423,13 @@ TEST_F(CkptResume, AutoRollbackCompletesWhatWouldOtherwiseThrow)
     const SystemConfig cfg = ladderSystem();
 
     // Anchor: without a checkpoint session there is no tier 3, so
-    // the same corruption that the ladder survives below is fatal.
+    // the same corruption that the ladder survives below is fatal,
+    // and the flight ring reaches the panic path before the rethrow.
+    obs::resetFlightStateForTesting();
     EXPECT_THROW(runSystem(cfg, trace), CorruptionError);
+    test::expectPanicFlight(
+        test::fingerprintLabel("sys", configFingerprint(cfg)),
+        "corruption");
 
     // With a session the run rolls back, shifts the fault
     // realization, replays, and completes.

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "../obs/PanicFlightUtil.hh"
 #include "../oram/OramTestUtil.hh"
 #include "common/Errors.hh"
 #include "security/TraceRecorder.hh"
@@ -239,6 +240,7 @@ TEST(Service, WatchdogConvertsAStallIntoAStructuredError)
     svc::ServiceConfig cfg = serviceConfig();
     cfg.testForceStall = true;
     cfg.watchdogBound = 64;
+    obs::resetFlightStateForTesting();
     svc::ServicePipeline pipeline(cfg);
     pipeline.injectArrivals(
         {at(0, 1, false), at(0, 2, false), at(0, 3, true)});
@@ -253,6 +255,10 @@ TEST(Service, WatchdogConvertsAStallIntoAStructuredError)
         EXPECT_NE(std::string(e.what()).find("stalled"),
                   std::string::npos);
     }
+    // The trip reached the panic path before the throw.
+    expectPanicFlight(
+        fingerprintLabel("svc", svc::serviceConfigFingerprint(cfg)),
+        "watchdog_trip");
 }
 
 TEST(Service, ControlSequenceReplayReproducesTheTraceExactly)

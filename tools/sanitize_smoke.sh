@@ -1,7 +1,12 @@
 #!/bin/sh
 # Build the fault and checkpoint tests under ASan/UBSan in a nested
 # build tree and run them.  Registered as the `sanitize_smoke` ctest
-# (tests/); also usable standalone:  tools/sanitize_smoke.sh [source-dir]
+# (tests/), which builds under its own build tree; also usable
+# standalone:
+#
+#     tools/sanitize_smoke.sh [source-dir] [build-dir]
+#
+# The build directory defaults to <source-dir>/build/sanitize.
 #
 # The fault subsystem is the code most worth sanitizing: it pokes
 # bits into live ciphertext buffers and drives the recovery paths
@@ -12,7 +17,7 @@
 set -eu
 
 SRC_DIR=${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}
-BUILD_DIR="$SRC_DIR/build/sanitize"
+BUILD_DIR=${2:-$SRC_DIR/build/sanitize}
 
 cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
     -DSB_SANITIZE=address,undefined \

@@ -1,7 +1,12 @@
 #!/bin/sh
 # Rebuild the concurrency-bearing tests under ThreadSanitizer and run
 # them with a wide worker pool.  Registered as the `tsan_smoke` ctest
-# (tests/); also usable standalone:  tools/tsan_smoke.sh [source-dir]
+# (tests/), which builds under its own build tree; also usable
+# standalone:
+#
+#     tools/tsan_smoke.sh [source-dir] [build-dir]
+#
+# The build directory defaults to <source-dir>/build-tsan.
 #
 # The ExperimentRunner is the one genuinely threaded subsystem: worker
 # pool, future handoff, retry rescheduling, the process-wide trace
@@ -15,7 +20,7 @@
 set -eu
 
 SRC_DIR=${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}
-BUILD_DIR="$SRC_DIR/build-tsan"
+BUILD_DIR=${2:-$SRC_DIR/build-tsan}
 
 # Probe: can this toolchain link and run a TSan binary at all?
 PROBE_DIR=$(mktemp -d)
