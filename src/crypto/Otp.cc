@@ -1,5 +1,7 @@
 #include "Otp.hh"
 
+#include <algorithm>
+
 namespace sboram {
 
 SB_HOT void
@@ -21,15 +23,42 @@ OtpCodec::encryptBatch(const std::uint64_t *const *plains,
         PrfStream(_key, *outs[s].nonce)
             .fill(ksScratch + s * words, words);
 
-    // Pass 3: XOR the pads in, then chain the tag over the fresh
-    // ciphertext lanes (the tag MAC is sequential by construction).
+    // Pass 3: XOR the pads in, then chain the tags over the fresh
+    // ciphertext lanes, kTagChains slots in lock-step.
     for (std::size_t s = 0; s < count; ++s) {
         const std::uint64_t *plain = plains[s];
         const std::uint64_t *ks = ksScratch + s * words;
-        const CipherRef &out = outs[s];
         for (std::uint64_t i = 0; i < words; ++i)
-            out.lanes[i] = plain[i] ^ ks[i];
-        *out.tag = computeTag(*out.nonce, out.lanes, words);
+            outs[s].lanes[i] = plain[i] ^ ks[i];
+    }
+    for (std::size_t g = 0; g < count; g += kTagChains) {
+        const std::size_t n = std::min(kTagChains, count - g);
+        std::uint64_t tags[kTagChains] = {};
+        tagChains<kTagChains>(outs + g, n, words, tags);
+        for (std::size_t k = 0; k < n; ++k)
+            *outs[g + k].tag = tags[k];
+    }
+}
+
+SB_HOT void
+OtpCodec::verifyDecryptBatch(const CipherView *views, std::size_t count,
+                             std::uint64_t words, std::uint64_t *plains,
+                             std::uint8_t *ok) const
+{
+    for (std::size_t g = 0; g < count; g += kTagChains) {
+        const std::size_t n = std::min(kTagChains, count - g);
+        std::uint64_t tags[kTagChains] = {};
+        tagChains<kTagChains>(views + g, n, words, tags);
+        for (std::size_t k = 0; k < n; ++k) {
+            const CipherView &v = views[g + k];
+            ok[g + k] = constTimeEq64(*v.tag, tags[k]) ? 1 : 0;
+            // Decrypt unconditionally: the caller reads the plaintext
+            // only behind a passing verdict.
+            const PrfStream ks(_key, *v.nonce);
+            std::uint64_t *plain = plains + (g + k) * words;
+            for (std::uint64_t i = 0; i < words; ++i)
+                plain[i] = v.lanes[i] ^ ks.lane(i);
+        }
     }
 }
 

@@ -21,14 +21,21 @@ AddressMap::AddressMap(const DramGeometry &geo, unsigned levels,
         ++s;
     }
     _subtreeLevels = s;
+
+    // Group g's sub-trees are rooted at level g * s, one per bucket
+    // of that level.
+    std::uint64_t seq = 0;
+    for (unsigned rootLevel = 0; rootLevel < levels; rootLevel += s) {
+        _groupSeqBase.push_back(seq);
+        seq += BucketIndex(1) << rootLevel;
+    }
 }
 
-DramCoord
-AddressMap::mapSlot(BucketIndex bucket, unsigned slot) const
+SB_HOT DramCoord
+AddressMap::mapBucket(BucketIndex bucket, unsigned level) const
 {
-    SB_ASSERT(slot < _slots, "slot %u out of range", slot);
+    SB_ASSERT(level < _levels, "level %u beyond the tree", level);
 
-    const unsigned level = levelOf(bucket);
     // Index of the bucket within its level (0-based, left to right).
     const BucketIndex withinLevel =
         bucket - ((BucketIndex(1) << level) - 1);
@@ -36,19 +43,9 @@ AddressMap::mapSlot(BucketIndex bucket, unsigned slot) const
     // The sub-tree containing this bucket is rooted at the bucket's
     // ancestor at level `group * subtreeLevels`.
     const unsigned group = level / _subtreeLevels;
-    const unsigned rootLevel = group * _subtreeLevels;
-    const unsigned depthInSub = level - rootLevel;
+    const unsigned depthInSub = level - group * _subtreeLevels;
     const BucketIndex rootWithinLevel = withinLevel >> depthInSub;
-
-    // Sequence number of the sub-tree: sub-trees of earlier groups
-    // first, then left-to-right within a group.
-    std::uint64_t seq = 0;
-    for (unsigned g = 0; g < group; ++g) {
-        const unsigned gl = g * _subtreeLevels;
-        if (gl < _levels)
-            seq += BucketIndex(1) << gl;  // roots at that level
-    }
-    seq += rootWithinLevel;
+    const std::uint64_t seq = _groupSeqBase[group] + rootWithinLevel;
 
     // Position of the bucket inside its sub-tree, heap order.
     const BucketIndex localWithin =
@@ -63,7 +60,16 @@ AddressMap::mapSlot(BucketIndex bucket, unsigned slot) const
     rest /= _geo.ranksPerChannel;
     c.bank = static_cast<unsigned>(rest % _geo.banksPerRank);
     c.row = rest / _geo.banksPerRank;
-    c.column = localIndex * (_bucketBytes / _geo.blockBytes) + slot;
+    c.column = localIndex * _slots;
+    return c;
+}
+
+DramCoord
+AddressMap::mapSlot(BucketIndex bucket, unsigned slot) const
+{
+    SB_ASSERT(slot < _slots, "slot %u out of range", slot);
+    DramCoord c = mapBucket(bucket, levelOf(bucket));
+    c.column += slot;
     return c;
 }
 

@@ -14,6 +14,7 @@
 #define SBORAM_MEM_ADDRESSMAP_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "DramTiming.hh"
 #include "common/Logging.hh"
@@ -51,6 +52,14 @@ class AddressMap
     /** Number of tree levels packed per sub-tree (per DRAM row). */
     unsigned subtreeLevels() const { return _subtreeLevels; }
 
+    /**
+     * Map slot 0 of @p bucket, which lies at tree level @p level
+     * (levelOf(bucket), which path walks already know).  A bucket's
+     * slots are contiguous in its row: slot s is this coordinate with
+     * column + s, so a path access maps each bucket once.
+     */
+    SB_HOT DramCoord mapBucket(BucketIndex bucket, unsigned level) const;
+
     /** Map a tree slot to its physical location. */
     DramCoord mapSlot(BucketIndex bucket, unsigned slot) const;
 
@@ -73,6 +82,10 @@ class AddressMap
     unsigned _slots;
     unsigned _subtreeLevels;
     std::uint64_t _bucketBytes;
+    /** Sequence number of the first sub-tree of each group of
+     *  subtreeLevels levels: sub-trees of earlier groups come first,
+     *  then left to right within a group. */
+    std::vector<std::uint64_t> _groupSeqBase;
 };
 
 } // namespace sboram

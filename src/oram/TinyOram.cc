@@ -160,17 +160,31 @@ TinyOram::nextEvictionLeaf()
     return leaf;
 }
 
+namespace {
+
+/** Append the DRAM coordinates of @p bucket's @p slots slots, mapping
+ *  the bucket once (its slots are contiguous columns of one row). */
+SB_HOT void
+appendBucketCoords(const AddressMap &map, BucketIndex bucket,
+                   unsigned level, unsigned slots,
+                   std::vector<DramCoord> &out)
+{
+    DramCoord c = map.mapBucket(bucket, level);
+    for (unsigned s = 0; s < slots; ++s, ++c.column)
+        out.push_back(c);
+}
+
+} // namespace
+
 Cycles
 TinyOram::estimatePathReadLatency()
 {
     DramModel probe(_dram.timing(), _dram.geometry());
     std::vector<DramCoord> coords;
     for (unsigned level = _cfg.treetopLevels;
-         level <= _geo.leafLevel; ++level) {
-        const BucketIndex b = _tree.bucketOnPath(0, level);
-        for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s)
-            coords.push_back(_addressMap.mapSlot(b, s));
-    }
+         level <= _geo.leafLevel; ++level)
+        appendBucketCoords(_addressMap, _tree.bucketOnPath(0, level),
+                           level, _cfg.slotsPerBucket, coords);
     BatchTiming t = probe.accessBatch(0, coords, false);
     return t.finish + _cfg.aesLatency;
 }
@@ -322,11 +336,9 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
     std::vector<DramCoord> &coords = _readCoords;
     coords.clear();
     coords.reserve((_geo.leafLevel + 1 - ttl) * _cfg.slotsPerBucket);
-    for (unsigned level = ttl; level <= _geo.leafLevel; ++level) {
-        const BucketIndex b = _pathBuckets[level];
-        for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s)
-            coords.push_back(_addressMap.mapSlot(b, s));
-    }
+    for (unsigned level = ttl; level <= _geo.leafLevel; ++level)
+        appendBucketCoords(_addressMap, _pathBuckets[level], level,
+                           _cfg.slotsPerBucket, coords);
     BatchTiming batch = _dram.accessBatch(
         startTime, coords, false, _cfg.xorCompression,
         _cfg.slotsPerBucket);
@@ -343,6 +355,51 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                     startTime, out.finish - startTime);
         t->complete(_obsPathTrack, "crypto",
                     out.finish - _cfg.aesLatency, _cfg.aesLatency);
+    }
+
+    // What this read does with a valid slot: Evict consumes every
+    // block, Request consumes the wanted block and copies every
+    // shadow into the stash, Dummy discards the whole path.
+    auto consumes = [&](const Slot &slot) {
+        return mode == ReadMode::Evict ||
+               (mode == ReadMode::Request && slot.addr == wantAddr);
+    };
+    auto copiesShadow = [&](const Slot &slot) {
+        return mode == ReadMode::Request && slot.isShadow();
+    };
+    // A slot whose ciphertext this read authenticates and decrypts.
+    // The crypto pre-pass and the main loop both select through this
+    // one predicate, so the batch holds exactly the ciphertexts the
+    // loop consumes, in the loop's order.  Parked slots (tier-1 spare
+    // store) have no ciphertext to read.
+    auto decrypts = [&](const Slot &slot, std::uint64_t slotIdx) {
+        return _cfg.payloadEnabled && slot.valid() &&
+               (consumes(slot) || copiesShadow(slot)) &&
+               _spare.find(slotIdx) == _spare.end();
+    };
+
+    // Crypto pre-pass: verify and decrypt every selected slot of the
+    // path in one batch, so the independent tag chains overlap.  It
+    // runs after fault injection, and the main loop rewrites no
+    // ciphertext before reading it, so each verdict is the one a
+    // per-slot verifyDecrypt in the loop would return.
+    const std::uint64_t words = _cfg.blockBytes / 8;
+    std::size_t cursor = 0;  // Next batch entry the main loop reads.
+    if (_cfg.payloadEnabled) {
+        _readViews.clear();
+        for (unsigned level = 0; level <= _geo.leafLevel; ++level) {
+            const BucketIndex b = _pathBuckets[level];
+            for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s) {
+                const std::uint64_t slotIdx = _tree.slotIndex(b, s);
+                if (decrypts(_tree.slot(b, s), slotIdx))
+                    _readViews.push_back(_tree.cipherView(slotIdx));
+            }
+        }
+        _readPlains.resize(_readViews.size() * words);
+        _readOk.resize(_readViews.size());
+        _codec.verifyDecryptBatch(_readViews.data(), _readViews.size(),
+                                  words, _readPlains.data(),
+                                  _readOk.data());
     }
 
     std::size_t dramIdx = 0;
@@ -378,11 +435,8 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                 continue;  // Contents discarded, tree untouched.
 
             const std::uint64_t slotIdx = _tree.slotIndex(b, s);
-            const bool consume =
-                mode == ReadMode::Evict ||
-                (mode == ReadMode::Request && slot.addr == wantAddr);
-            const bool copyShadow =
-                mode == ReadMode::Request && slot.isShadow();
+            const bool consume = consumes(slot);
+            const bool copyShadow = copiesShadow(slot);
 
             if (!consume && !copyShadow)
                 continue;  // RAW read-only: leave other blocks alone.
@@ -393,9 +447,8 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
             e.version = slot.version;
             e.type = slot.type;
             if (_cfg.payloadEnabled) {
-                // Decrypt into a pooled buffer (verifyDecrypt reuses
-                // its capacity) instead of allocating per block.
-                e.payload = _payloadPool.acquire(_cfg.blockBytes / 8);
+                // A pooled buffer instead of one allocation per block.
+                e.payload = _payloadPool.acquire(words);
                 // Integrity verification (Tiny ORAM baseline [18]).
                 // A failed tag on a *shadow* copy is harmless — the
                 // real copy is authoritative — so the slot is simply
@@ -409,15 +462,27 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                 // never read, so it can neither fault nor need
                 // healing.  Consumption retires the parked copy; a
                 // non-consuming shadow copy leaves it in place.
-                if (auto sp = _spare.find(slotIdx);
-                    sp != _spare.end()) {
+                // Every other slot takes the next pre-pass verdict.
+                bool authentic = true;
+                if (decrypts(slot, slotIdx)) {
+                    SB_ASSERT(cursor < _readViews.size(),
+                              "path read decrypts past its batch");
+                    authentic = _readOk[cursor] != 0;
+                    if (authentic) {
+                        const std::uint64_t *plain =
+                            _readPlains.data() + cursor * words;
+                        std::copy(plain, plain + words,
+                                  e.payload.begin());
+                    }
+                    ++cursor;
+                } else {
+                    auto sp = _spare.find(slotIdx);
                     e.payload.assign(sp->second.begin(),
                                      sp->second.end());
                     if (consume)
                         _spare.erase(sp);
                 }
-                else if (!_codec.verifyDecrypt(
-                        _tree.cipherView(slotIdx), e.payload)) {
+                if (!authentic) {
                     ++_stats.faultsDetected;
                     if (obs::TraceSession *t =
                             _obs ? _obs->trace() : nullptr)
@@ -497,6 +562,10 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
             // the stash now holds an identical (replaceable) copy.
         }
     }
+    SB_ASSERT(cursor == _readViews.size(),
+              "path read left %llu batch verdicts unread",
+              static_cast<unsigned long long>(_readViews.size() -
+                                              cursor));
     return out;
 }
 
@@ -665,10 +734,9 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             dummies.push_back(DummySlot{b, slotCursor, level});
 
         // DRAM writes for off-chip levels, leaf to root order.
-        if (level >= ttl) {
-            for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s)
-                coords.push_back(_addressMap.mapSlot(b, s));
-        }
+        if (level >= ttl)
+            appendBucketCoords(_addressMap, b, level,
+                               _cfg.slotsPerBucket, coords);
     }
 
     // Pass 2 — fill dummy slots, root side first, so the rear-most

@@ -425,6 +425,11 @@ class TinyOram
      *  write never clobbers the preceding read's buffer). */
     std::vector<DramCoord> _readCoords;
     std::vector<DramCoord> _writeCoords;
+    /** Path-read crypto batch: the ciphertexts the read decrypts, in
+     *  main-loop order, and their plaintexts and verdicts. */
+    std::vector<CipherView> _readViews;
+    std::vector<std::uint64_t> _readPlains;
+    std::vector<std::uint8_t> _readOk;
     /** Per-write scratch: which _evictShadows went back into the
      *  tree (parallel to _evictShadows). */
     std::vector<char> _evictShadowPlaced;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "crypto/Otp.hh"
 #include "crypto/Prf.hh"
@@ -109,45 +111,129 @@ TEST(Otp, EmptyPayload)
     EXPECT_TRUE(codec.decrypt(ct).empty());
 }
 
+namespace {
+
+/** Batch sizes covering every full-group and tail split of the
+ *  lock-step tag chains, and lane widths around a payload's 8. */
+constexpr std::size_t kMaxBatch = 2 * OtpCodec::kTagChains + 1;
+constexpr std::uint64_t kBatchWords[] = {0, 1, 6, 8};
+
+std::vector<std::vector<std::uint64_t>>
+batchPlains(std::size_t count, std::uint64_t words)
+{
+    std::vector<std::vector<std::uint64_t>> plains(count);
+    for (std::size_t s = 0; s < count; ++s)
+        for (std::uint64_t w = 0; w < words; ++w)
+            plains[s].push_back(s * 1000 + w * 7 + 3);
+    return plains;
+}
+
+} // namespace
+
 TEST(Otp, BatchMatchesSequentialEncrypts)
 {
     // encryptBatch must be indistinguishable from successive
     // encryptRef calls: same nonce sequence, same ciphertext bits,
     // same tags.  Two codecs under one key, same starting counter.
     const PrfKey key{11, 22};
-    OtpCodec seq(key);
-    OtpCodec batch(key);
+    for (std::uint64_t words : kBatchWords) {
+        for (std::size_t count = 0; count <= kMaxBatch; ++count) {
+            SCOPED_TRACE("words " + std::to_string(words) + " count " +
+                         std::to_string(count));
+            OtpCodec seq(key);
+            OtpCodec batch(key);
+            const auto plains = batchPlains(count, words);
 
-    constexpr std::size_t kSlots = 5;
-    constexpr std::uint64_t kWords = 6;
-    std::vector<std::vector<std::uint64_t>> plains(kSlots);
-    for (std::size_t s = 0; s < kSlots; ++s)
-        for (std::uint64_t w = 0; w < kWords; ++w)
-            plains[s].push_back(s * 1000 + w * 7 + 3);
+            std::vector<CipherText> seqOut(count);
+            for (std::size_t s = 0; s < count; ++s)
+                seq.encryptInto(plains[s], seqOut[s]);
 
-    std::vector<CipherText> seqOut(kSlots);
-    for (std::size_t s = 0; s < kSlots; ++s)
-        seq.encryptInto(plains[s], seqOut[s]);
+            std::vector<CipherText> batchOut(count);
+            std::vector<const std::uint64_t *> plainPtrs;
+            std::vector<CipherRef> refs;
+            for (std::size_t s = 0; s < count; ++s) {
+                batchOut[s].lanes.resize(words);
+                plainPtrs.push_back(plains[s].data());
+                refs.push_back(CipherRef(batchOut[s]));
+            }
+            std::vector<std::uint64_t> scratch(count * words + 1);
+            batch.encryptBatch(plainPtrs.data(), refs.data(), count,
+                               words, scratch.data());
 
-    std::vector<CipherText> batchOut(kSlots);
-    std::vector<const std::uint64_t *> plainPtrs;
-    std::vector<CipherRef> refs;
-    for (std::size_t s = 0; s < kSlots; ++s) {
-        batchOut[s].lanes.resize(kWords);
-        plainPtrs.push_back(plains[s].data());
-        refs.push_back(CipherRef(batchOut[s]));
+            EXPECT_EQ(seq.noncesIssued(), batch.noncesIssued());
+            for (std::size_t s = 0; s < count; ++s) {
+                EXPECT_EQ(batchOut[s].nonce, seqOut[s].nonce)
+                    << "slot " << s;
+                EXPECT_EQ(batchOut[s].tag, seqOut[s].tag) << "slot " << s;
+                EXPECT_EQ(batchOut[s].lanes, seqOut[s].lanes)
+                    << "slot " << s;
+                EXPECT_TRUE(batch.verify(batchOut[s]));
+                EXPECT_EQ(batch.decrypt(batchOut[s]), plains[s]);
+            }
+        }
     }
-    std::vector<std::uint64_t> scratch(kSlots * kWords);
-    batch.encryptBatch(plainPtrs.data(), refs.data(), kSlots, kWords,
-                       scratch.data());
+}
 
-    EXPECT_EQ(seq.noncesIssued(), batch.noncesIssued());
-    for (std::size_t s = 0; s < kSlots; ++s) {
-        EXPECT_EQ(batchOut[s].nonce, seqOut[s].nonce) << "slot " << s;
-        EXPECT_EQ(batchOut[s].tag, seqOut[s].tag) << "slot " << s;
-        EXPECT_EQ(batchOut[s].lanes, seqOut[s].lanes) << "slot " << s;
-        EXPECT_TRUE(batch.verify(batchOut[s]));
-        EXPECT_EQ(batch.decrypt(batchOut[s]), plains[s]);
+TEST(Otp, BatchVerifyMatchesPerSlot)
+{
+    // verifyDecryptBatch must return verifyDecrypt's verdict for every
+    // slot, and its plaintext wherever that verdict passes, whichever
+    // single word of the batch (a lane, a nonce or a tag) is
+    // corrupted.
+    OtpCodec codec(PrfKey{3, 5});
+    for (std::uint64_t words : kBatchWords) {
+        for (std::size_t count = 0; count <= kMaxBatch; ++count) {
+            std::vector<CipherText> clean;
+            for (const auto &plain : batchPlains(count, words))
+                clean.push_back(codec.encrypt(plain));
+
+            // Position -1 is the uncorrupted batch; otherwise slot
+            // `victim`'s word `pos`: lanes first, then nonce, then tag.
+            const std::size_t victims = std::max<std::size_t>(count, 1);
+            for (std::size_t victim = 0; victim < victims; ++victim) {
+                for (long pos = -1; pos < static_cast<long>(words) + 2;
+                     ++pos) {
+                    if (count == 0 && pos >= 0)
+                        break;
+                    SCOPED_TRACE("words " + std::to_string(words) +
+                                 " count " + std::to_string(count) +
+                                 " slot " + std::to_string(victim) +
+                                 " pos " + std::to_string(pos));
+                    std::vector<CipherText> cts = clean;
+                    if (pos >= 0) {
+                        CipherText &ct = cts[victim];
+                        const auto p = static_cast<std::uint64_t>(pos);
+                        if (p < words)
+                            ct.lanes[p] ^= 1ULL << (p * 13 % 64);
+                        else if (p == words)
+                            ct.nonce ^= 1;
+                        else
+                            ct.tag ^= 1ULL << 40;
+                    }
+                    const std::vector<CipherView> views(cts.begin(),
+                                                        cts.end());
+                    std::vector<std::uint64_t> plains(count * words + 1);
+                    std::vector<std::uint8_t> ok(count + 1, 7);
+                    codec.verifyDecryptBatch(views.data(), count, words,
+                                             plains.data(), ok.data());
+                    for (std::size_t s = 0; s < count; ++s) {
+                        std::vector<std::uint64_t> want;
+                        const bool pass =
+                            codec.verifyDecrypt(cts[s], want);
+                        EXPECT_EQ(ok[s], pass ? 1 : 0) << "slot " << s;
+                        EXPECT_EQ(pass, pos < 0 || s != victim)
+                            << "slot " << s;
+                        if (!pass)
+                            continue;
+                        const std::vector<std::uint64_t> got(
+                            plains.begin() + s * words,
+                            plains.begin() + (s + 1) * words);
+                        EXPECT_EQ(got, want) << "slot " << s;
+                    }
+                    EXPECT_EQ(ok[count], 7) << "wrote past count";
+                }
+            }
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "MappingOracle.hh"
 #include "mem/AddressMap.hh"
 
 using namespace sboram;
@@ -115,4 +116,11 @@ TEST(AddressMap, FlatMappingDistinct)
                                    c.column);
         EXPECT_TRUE(seen.insert(key).second) << "addr " << a;
     }
+}
+
+TEST(AddressMap, BucketMappingMatchesPerSlotReference)
+{
+    for (unsigned z : {4u, 5u})
+        EXPECT_EQ(test::bucketMappingMismatches(defaultGeo(), z), 0u)
+            << "Z=" << z;
 }

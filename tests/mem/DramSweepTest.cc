@@ -3,6 +3,7 @@
 #include <set>
 #include <tuple>
 
+#include "MappingOracle.hh"
 #include "mem/AddressMap.hh"
 #include "mem/DramModel.hh"
 
@@ -83,6 +84,12 @@ TEST_P(DramGeometrySweep, MappingHasNoCollisions)
                 << "collision at bucket " << b << " slot " << s;
         }
     }
+}
+
+TEST_P(DramGeometrySweep, BucketMappingMatchesPerSlotReference)
+{
+    EXPECT_EQ(test::bucketMappingMismatches(geometry(), GetParam().z),
+              0u);
 }
 
 TEST_P(DramGeometrySweep, PathReadTerminatesAndIsOrdered)
