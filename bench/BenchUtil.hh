@@ -11,6 +11,10 @@
  *   SB_BENCH_THREADS — worker threads for the experiment runner
  *                      (default: hardware concurrency; 1 forces the
  *                      sequential path)
+ * and, for the benches with a committed baseline (checkBaseline):
+ *   SB_BENCH_BASELINE    — baseline JSON path (default: the in-tree
+ *                          bench/BENCH_*.json)
+ *   SB_BENCH_REGRESSION  — set to 0 to disable the checksum guard
  */
 
 #ifndef SBORAM_BENCH_BENCHUTIL_HH
@@ -19,7 +23,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/Checkpoint.hh"
@@ -170,6 +178,73 @@ normalize(const RunMetrics &m, const RunMetrics &base)
     n.interval = m.driTime / ref;
     n.total = static_cast<double>(m.execTime) / ref;
     return n;
+}
+
+/**
+ * Checksum guard against a committed baseline JSON: each named field
+ * of the baseline must hold, as a quoted hex string, the value this
+ * run produced.  A missing baseline file only warns (fresh machines,
+ * renamed checkouts).  A baseline that exists but lacks a field, or
+ * holds a non-hex value there, fails: a guard that cannot compare
+ * must not pass.  Wall time is never compared; host speed is judged
+ * by perfbench's paired runs.  Returns the bench's exit code.
+ */
+inline int
+checkBaseline(
+    const char *bench, const std::string &defaultPath,
+    std::initializer_list<std::pair<const char *, std::uint64_t>> fields)
+{
+    const char *onOff = std::getenv("SB_BENCH_REGRESSION");
+    if (onOff && onOff[0] == '0') {
+        std::printf("regression guard disabled (SB_BENCH_REGRESSION=0)\n");
+        return 0;
+    }
+    const char *env = std::getenv("SB_BENCH_BASELINE");
+    const std::string path = env ? env : defaultPath;
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr,
+                     "%s: no baseline at %s — regression guard "
+                     "skipped\n",
+                     bench, path.c_str());
+        return 0;
+    }
+    const std::string doc{std::istreambuf_iterator<char>(in), {}};
+
+    int rc = 0;
+    for (const auto &[key, value] : fields) {
+        // `"key": "<hex>"`, as the bench writers emit it.
+        const std::string needle = "\"" + std::string(key) + "\": \"";
+        const std::size_t at = doc.find(needle);
+        const std::size_t begin = at + needle.size();
+        const std::size_t end =
+            at == std::string::npos ? at : doc.find('"', begin);
+        const std::string hex =
+            end == std::string::npos ? "" : doc.substr(begin, end - begin);
+        if (hex.empty() || hex.size() > 16 ||
+            hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                std::string::npos) {
+            std::fprintf(stderr,
+                         "%s: baseline %s has no hex \"%s\" — cannot "
+                         "compare\n",
+                         bench, path.c_str(), key);
+            rc = 1;
+            continue;
+        }
+        const std::uint64_t base = std::strtoull(hex.c_str(), nullptr, 16);
+        if (base != value) {
+            std::fprintf(stderr,
+                         "%s: %s %llx differs from baseline %llx — "
+                         "results changed\n",
+                         bench, key, static_cast<unsigned long long>(value),
+                         static_cast<unsigned long long>(base));
+            rc = 1;
+        }
+    }
+    if (rc == 0)
+        std::printf("regression guard: checksums match %s\n",
+                    path.c_str());
+    return rc;
 }
 
 /**

@@ -9,11 +9,19 @@
  * observability off (the reported throughput number), and once with
  * tracing + metrics enabled.  Results land in BENCH_perf.json.
  *
- * Two assertions gate the exit code:
- *  - the observed sweep must produce the same checksum as the
- *    unobserved one (observability never changes results), and
+ * A payload section then times the Tiny/RD-only/HD-only spread with
+ * real per-slot crypto on, warm pass first.
+ *
+ * Three assertions gate the exit code:
+ *  - every pass of a point set must produce the same checksum as its
+ *    warm-up, and the observed sweep the same as the unobserved one
+ *    (observability never changes results);
  *  - the observed sweep must finish within 2x the unobserved wall
- *    time (a generous CI bound; typical overhead is a few percent).
+ *    time (a generous CI bound; typical overhead is a few percent);
+ *  - `checksum` and `payload_checksum` must match the committed
+ *    bench/BENCH_perf.json (checkBaseline in BenchUtil.hh).
+ * Wall time and points/s are recorded, never compared with the
+ * baseline: host speed is judged by perfbench's paired runs.
  *
  * On a multi-core machine the expected scaling is near-linear until
  * the point count (24) stops covering the pool.
@@ -21,10 +29,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "BenchUtil.hh"
@@ -33,125 +38,6 @@ using namespace sboram;
 using namespace sboram::bench;
 
 namespace {
-
-/**
- * Minimal field extraction from our own BENCH_perf.json output (the
- * baseline committed in bench/).  Good enough for the exact schema
- * the writer below emits; not a JSON parser.
- */
-bool
-jsonField(const std::string &doc, const std::string &key,
-          std::string &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = doc.find(needle);
-    if (at == std::string::npos)
-        return false;
-    std::size_t pos = at + needle.size();
-    while (pos < doc.size() &&
-           (doc[pos] == ' ' || doc[pos] == '"'))
-        ++pos;
-    std::size_t end = pos;
-    while (end < doc.size() && doc[end] != ',' && doc[end] != '\n' &&
-           doc[end] != '"' && doc[end] != '}')
-        ++end;
-    out = doc.substr(pos, end - pos);
-    return !out.empty();
-}
-
-/**
- * Wall-time and checksum regression guard against the committed
- * baseline.  Controlled by:
- *   SB_BENCH_BASELINE        — baseline JSON path (default: the
- *                              in-tree bench/BENCH_perf.json)
- *   SB_BENCH_REGRESSION_PCT  — allowed wall-time growth (default 25)
- *   SB_BENCH_REGRESSION=0    — disable the guard entirely
- * A missing baseline file is a warning, not a failure (fresh
- * machines, renamed checkouts); a checksum mismatch always fails —
- * determinism does not depend on machine speed.
- */
-int
-checkRegression(double wallSeconds, std::uint64_t checksum,
-                double payloadWallSeconds,
-                std::uint64_t payloadChecksum)
-{
-    // sblint:allow-next-line(ambient-nondeterminism): guard on/off switch; simulated results never depend on it
-    if (const char *onOff = std::getenv("SB_BENCH_REGRESSION")) {
-        if (onOff[0] == '0') {
-            std::printf("regression guard disabled "
-                        "(SB_BENCH_REGRESSION=0)\n");
-            return 0;
-        }
-    }
-    // sblint:allow-next-line(ambient-nondeterminism): baseline file location, not an experiment knob
-    const char *env = std::getenv("SB_BENCH_BASELINE");
-    const std::string path =
-        env ? env : std::string(SB_BENCH_BASELINE_DEFAULT);
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr,
-                     "perf_smoke: no baseline at %s — regression "
-                     "guard skipped\n",
-                     path.c_str());
-        return 0;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string doc = ss.str();
-
-    double pct = 25.0;
-    // sblint:allow-next-line(ambient-nondeterminism): CI wall-clock tolerance; simulated results never depend on it
-    if (const char *p = std::getenv("SB_BENCH_REGRESSION_PCT"))
-        pct = std::atof(p);
-
-    int rc = 0;
-    std::string field;
-    if (jsonField(doc, "checksum", field)) {
-        const std::uint64_t base =
-            std::strtoull(field.c_str(), nullptr, 16);
-        if (base != checksum) {
-            std::fprintf(stderr,
-                         "perf_smoke: checksum %llx differs from "
-                         "baseline %llx — results changed\n",
-                         static_cast<unsigned long long>(checksum),
-                         static_cast<unsigned long long>(base));
-            rc = 1;
-        }
-    }
-    if (jsonField(doc, "payload_checksum", field)) {
-        const std::uint64_t base =
-            std::strtoull(field.c_str(), nullptr, 16);
-        if (base != payloadChecksum) {
-            std::fprintf(
-                stderr,
-                "perf_smoke: payload checksum %llx differs from "
-                "baseline %llx — payload results changed\n",
-                static_cast<unsigned long long>(payloadChecksum),
-                static_cast<unsigned long long>(base));
-            rc = 1;
-        }
-    }
-    for (const auto &[key, wall] :
-         {std::pair<const char *, double>{"wall_seconds",
-                                          wallSeconds},
-          std::pair<const char *, double>{"payload_wall_seconds",
-                                          payloadWallSeconds}}) {
-        if (!jsonField(doc, key, field))
-            continue;
-        const double base = std::atof(field.c_str());
-        if (base > 0.0 && wall > base * (1.0 + pct / 100.0)) {
-            std::fprintf(stderr,
-                         "perf_smoke: %s %.3f s regressed more than "
-                         "%.0f%% over baseline %.3f s\n",
-                         key, wall, pct, base);
-            rc = 1;
-        }
-    }
-    if (rc == 0)
-        std::printf("regression guard: within %.0f%% of %s\n", pct,
-                    path.c_str());
-    return rc;
-}
 
 std::uint64_t
 checksumOf(const std::vector<RunMetrics> &results)
@@ -337,8 +223,9 @@ runBench()
                      obsSeconds, seconds);
         return 1;
     }
-    return checkRegression(seconds, checksum, payloadSeconds,
-                           payloadChecksum);
+    return checkBaseline("perf_smoke", SB_BENCH_BASELINE_DEFAULT,
+                         {{"checksum", checksum},
+                          {"payload_checksum", payloadChecksum}});
 }
 
 int

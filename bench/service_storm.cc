@@ -22,15 +22,15 @@
  * Results land in BENCH_latency.json next to the binary; every point
  * runs twice and the passes must agree on an outcome fingerprint.
  * The JSON contains no wall-clock values: it is byte-identical at any
- * SB_BENCH_THREADS.  A checksum regression guard compares against the
- * committed bench/BENCH_latency.json (SB_BENCH_REGRESSION=0 disables,
- * SB_BENCH_BASELINE points elsewhere).
+ * SB_BENCH_THREADS.  Its checksum must match the committed
+ * bench/BENCH_latency.json (checkBaseline in BenchUtil.hh:
+ * SB_BENCH_REGRESSION=0 disables, SB_BENCH_BASELINE points
+ * elsewhere).  There is no wall-time bound: the file holds only
+ * virtual-time results, so any drift is a semantic change.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -206,59 +206,6 @@ runPoint(svc::ServiceConfig cfg)
         out.stalled = true;
     }
     return out;
-}
-
-/** Checksum regression guard against the committed baseline.  Unlike
- *  perf_smoke there is no wall-time bound: BENCH_latency.json holds
- *  only virtual-time results, so any drift is a semantic change. */
-int
-checkRegression(std::uint64_t checksum)
-{
-    // sblint:allow-next-line(ambient-nondeterminism): guard on/off switch; simulated results never depend on it
-    if (const char *onOff = std::getenv("SB_BENCH_REGRESSION")) {
-        if (onOff[0] == '0') {
-            std::printf("regression guard disabled "
-                        "(SB_BENCH_REGRESSION=0)\n");
-            return 0;
-        }
-    }
-    // sblint:allow-next-line(ambient-nondeterminism): baseline file location, not an experiment knob
-    const char *env = std::getenv("SB_BENCH_BASELINE");
-    const std::string path =
-        env ? env : std::string(SB_BENCH_BASELINE_DEFAULT);
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr,
-                     "service_storm: no baseline at %s — regression "
-                     "guard skipped\n",
-                     path.c_str());
-        return 0;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string doc = ss.str();
-    const std::string needle = "\"checksum\": \"";
-    const std::size_t at = doc.find(needle);
-    if (at == std::string::npos) {
-        std::fprintf(stderr,
-                     "service_storm: baseline %s has no checksum — "
-                     "regression guard skipped\n",
-                     path.c_str());
-        return 0;
-    }
-    const std::uint64_t base = std::strtoull(
-        doc.c_str() + at + needle.size(), nullptr, 16);
-    if (base != checksum) {
-        std::fprintf(stderr,
-                     "service_storm: checksum %llx differs from "
-                     "baseline %llx — latency results changed\n",
-                     static_cast<unsigned long long>(checksum),
-                     static_cast<unsigned long long>(base));
-        return 1;
-    }
-    std::printf("regression guard: checksum matches %s\n",
-                path.c_str());
-    return 0;
 }
 
 } // namespace
@@ -568,7 +515,8 @@ runBench()
     }
     if (!deterministic)
         return 1;
-    return checkRegression(checksum);
+    return checkBaseline("service_storm", SB_BENCH_BASELINE_DEFAULT,
+                         {{"checksum", checksum}});
 }
 
 int

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "ckpt/Serde.hh"
 #include "sim/System.hh"
 
 using namespace sboram;
@@ -130,12 +131,37 @@ TEST(System, OnChipHitRateWithinBounds)
 
 TEST(System, DeterministicAcrossRuns)
 {
-    SystemConfig cfg = smallSystem(Scheme::Shadow);
-    RunMetrics a = runWorkload(cfg, "hmmer", kMisses, 5);
-    RunMetrics b = runWorkload(cfg, "hmmer", kMisses, 5);
-    EXPECT_EQ(a.execTime, b.execTime);
-    EXPECT_EQ(a.pathReads, b.pathReads);
-    EXPECT_EQ(a.shadowsWritten, b.shadowsWritten);
+    // Two runs of the same point must serialize to the same
+    // RunMetrics bytes: every counter and every bit of every double.
+    auto metricBytes = [](const SystemConfig &cfg, const char *workload,
+                          std::uint64_t misses) {
+        ckpt::Serializer out;
+        saveRunMetrics(out, runWorkload(cfg, workload, misses, 5));
+        return out.buffer();
+    };
+
+    const SystemConfig dynamic = smallSystem(Scheme::Shadow);
+    EXPECT_EQ(metricBytes(dynamic, "hmmer", kMisses),
+              metricBytes(dynamic, "hmmer", kMisses));
+
+    // Payload mode adds the slab ciphertext store, the batched
+    // keystream and path-read verification; it must be just as
+    // deterministic for the baseline and both single-queue schemes.
+    SystemConfig tiny = smallSystem(Scheme::Tiny);
+    tiny.oram.payloadEnabled = true;
+    SystemConfig rd = tiny;
+    rd.scheme = Scheme::Shadow;
+    rd.shadow.mode = ShadowMode::RdOnly;
+    SystemConfig hd = rd;
+    hd.shadow.mode = ShadowMode::HdOnly;
+    for (const auto &[name, cfg] :
+         {std::pair<const char *, SystemConfig>{"tiny", tiny},
+          {"shadow-rd", rd},
+          {"shadow-hd", hd}}) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(metricBytes(cfg, "mcf", 1500),
+                  metricBytes(cfg, "mcf", 1500));
+    }
 }
 
 TEST(System, NoStashOverflowAcrossSchemes)

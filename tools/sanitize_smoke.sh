@@ -23,7 +23,7 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
     -DSB_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" \
-    --target test_fault test_ckpt throughput chaos_storm \
+    --target test_fault test_ckpt test_sim chaos_storm \
     -j >/dev/null
 
 # Die on any UBSan report instead of just printing it.
@@ -32,15 +32,14 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_ckpt"
 
-# The payload throughput bench drives the allocation-free slab access
+# The payload determinism test drives the allocation-free slab access
 # path (pooled buffers, batched keystream scratch, raw CipherRef
-# pointer arithmetic) end to end — exactly the code where an
-# off-by-one lane index would otherwise scribble silently.  Tiny
-# trace so the sanitized run stays fast.
-(cd "$BUILD_DIR/bench" &&
-    UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
-    SB_BENCH_QUICK=1 SB_BENCH_MISSES=500 SB_BENCH_THREADS=2 \
-    ./throughput)
+# pointer arithmetic) end to end for Tiny, RD-only and HD-only —
+# exactly the code where an off-by-one lane index would otherwise
+# scribble silently.  Short traces keep the sanitized run fast.
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+    "$BUILD_DIR/tests/test_sim" \
+    --gtest_filter=System.DeterministicAcrossRuns
 
 # The chaos harness exercises the whole recovery ladder — corruption
 # of live ciphertext, scrub-and-heal rewrites, snapshot restore into
