@@ -29,10 +29,11 @@ DramModel::rankOf(const DramCoord &c)
                   _geo.ranksPerChannel + c.rank];
 }
 
-Cycles
+SB_HOT Cycles
 DramModel::scheduleBlock(Cycles earliestStart, const DramCoord &c,
                          bool isWrite, Cycles busTime)
 {
+    ++_scheduleSteps;
     Bank &bank = bankOf(c);
     Rank &rank = rankOf(c);
     Channel &channel = _channels[c.channel];
@@ -87,6 +88,62 @@ DramModel::scheduleBlock(Cycles earliestStart, const DramCoord &c,
     return dataDone;
 }
 
+SB_HOT DramRun
+DramModel::scheduleRun(Cycles earliestStart, const DramCoord &coord0,
+                       unsigned n, bool isWrite, Cycles busTime)
+{
+    SB_ASSERT(n >= 1, "empty DRAM run");
+    DramRun run;
+    run.first = scheduleBlock(earliestStart, coord0, isWrite, busTime);
+    run.stride = runStride(busTime);
+    if (n == 1)
+        return run;
+
+    // Accesses 1..n-1 hit the row access 0 left open, in the same
+    // direction, so no turnaround or write-to-read term applies.
+    // Access 0's column time already dominates earliestStart, the
+    // bank's column bound and writeToReadOkAt, leaving tCCD after the
+    // previous column command and the data bus after the previous
+    // burst: each access lands exactly one stride after the last.
+    const std::uint64_t hits = n - 1;
+    const Cycles span = hits * run.stride;
+    const Cycles last = run.last(n);
+    Rank &rank = rankOf(coord0);
+    _stats.rowHits += hits;
+    rank.nextColumnAt += span;
+    _channels[coord0.channel].busFreeAt = last;
+    if (isWrite) {
+        _stats.writes += hits;
+        Bank &bank = bankOf(coord0);
+        bank.prechargeOkAt =
+            std::max(bank.prechargeOkAt, last + _timing.tWR);
+        rank.writeToReadOkAt = last + _timing.tWTR;
+    } else {
+        _stats.reads += hits;
+    }
+    return run;
+}
+
+Cycles
+DramModel::busTimeFor(bool isWrite, bool compressedBus,
+                      unsigned busDivisor) const
+{
+    if (compressedBus && !isWrite && busDivisor > 1)
+        return std::max<Cycles>(1, _timing.tBURST / busDivisor);
+    return _timing.tBURST;
+}
+
+namespace {
+
+bool
+sameRow(const DramCoord &a, const DramCoord &b)
+{
+    return a.channel == b.channel && a.rank == b.rank &&
+           a.bank == b.bank && a.row == b.row;
+}
+
+} // namespace
+
 BatchTiming
 DramModel::accessBatch(Cycles earliestStart,
                        const std::vector<DramCoord> &coords,
@@ -95,16 +152,20 @@ DramModel::accessBatch(Cycles earliestStart,
 {
     BatchTiming result;
     result.completion.reserve(coords.size());
+    const Cycles busTime =
+        busTimeFor(isWrite, compressedBus, busDivisor);
 
-    Cycles busTime = _timing.tBURST;
-    if (compressedBus && !isWrite && busDivisor > 1) {
-        busTime = std::max<Cycles>(1, _timing.tBURST / busDivisor);
-    }
-
-    for (const DramCoord &c : coords) {
-        Cycles done = scheduleBlock(earliestStart, c, isWrite, busTime);
-        result.completion.push_back(done);
-        result.finish = std::max(result.finish, done);
+    for (std::size_t i = 0; i < coords.size();) {
+        std::size_t end = i + 1;
+        while (end < coords.size() && sameRow(coords[end], coords[i]))
+            ++end;
+        const unsigned n = static_cast<unsigned>(end - i);
+        const DramRun run =
+            scheduleRun(earliestStart, coords[i], n, isWrite, busTime);
+        for (unsigned k = 0; k < n; ++k)
+            result.completion.push_back(run.first + k * run.stride);
+        result.finish = std::max(result.finish, run.last(n));
+        i = end;
     }
     return result;
 }
@@ -113,7 +174,9 @@ Cycles
 DramModel::accessSingle(Cycles earliestStart, const DramCoord &coord,
                         bool isWrite)
 {
-    return scheduleBlock(earliestStart, coord, isWrite, _timing.tBURST);
+    return scheduleRun(earliestStart, coord, 1, isWrite,
+                       _timing.tBURST)
+        .first;
 }
 
 } // namespace sboram

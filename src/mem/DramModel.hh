@@ -19,6 +19,7 @@
 #ifndef SBORAM_MEM_DRAMMODEL_HH
 #define SBORAM_MEM_DRAMMODEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -45,6 +46,19 @@ struct DramStats
     }
 };
 
+/**
+ * Timing of a run of back-to-back accesses to one bank and row:
+ * access k completes at first + k * stride.
+ */
+struct DramRun
+{
+    Cycles first = 0;
+    Cycles stride = 0;
+
+    /** Completion of the last of @p n accesses. */
+    Cycles last(unsigned n) const { return first + (n - 1) * stride; }
+};
+
 /** Result of scheduling a batch of block accesses. */
 struct BatchTiming
 {
@@ -64,7 +78,36 @@ class DramModel
     DramModel(const DramTiming &timing, const DramGeometry &geometry);
 
     /**
-     * Schedule a batch of block accesses in order.
+     * Schedule @p n back-to-back accesses to the bank and row of
+     * @p coord0 (the buckets of one sub-tree group of a path: the
+     * timing model never reads DramCoord::column).  Access 0 is one
+     * full scheduleBlock; accesses 1..n-1 are row hits in the same
+     * direction, applied in closed form with the state and counters
+     * n scheduleBlock calls would leave.
+     *
+     * @param busTime Data-bus occupancy of one access (busTimeFor).
+     */
+    SB_HOT DramRun scheduleRun(Cycles earliestStart,
+                               const DramCoord &coord0, unsigned n,
+                               bool isWrite, Cycles busTime);
+
+    /** Spacing of consecutive completions within a run. */
+    Cycles
+    runStride(Cycles busTime) const
+    {
+        return std::max(_timing.tCCD, busTime);
+    }
+
+    /**
+     * Data-bus occupancy of one block: tBURST, or 1/@p busDivisor of
+     * it for an XOR-compressed read (see accessBatch).
+     */
+    Cycles busTimeFor(bool isWrite, bool compressedBus,
+                      unsigned busDivisor) const;
+
+    /**
+     * Schedule a batch of block accesses in order, as maximal runs of
+     * consecutive accesses to one (channel, rank, bank, row).
      *
      * @param earliestStart First cycle any command may issue.
      * @param coords Physical block locations, in access order.
@@ -87,6 +130,13 @@ class DramModel
     const DramStats &stats() const { return _stats; }
     void resetStats() { _stats.reset(); }
 
+    /**
+     * Host work done so far: the number of scheduleBlock evaluations
+     * (one per run).  Not simulated state, so neither DramStats nor
+     * the checkpoint carries it.
+     */
+    std::uint64_t scheduleSteps() const { return _scheduleSteps; }
+
     const DramTiming &timing() const { return _timing; }
     const DramGeometry &geometry() const { return _geo; }
 
@@ -99,7 +149,9 @@ class DramModel
     {
         bool rowOpen = false;
         std::uint64_t openRow = 0;
-        Cycles nextColumnAt = 0;   ///< Earliest column command.
+        /** Earliest column command.  Checkpointed but never advanced:
+         *  tCCD spacing lives on the rank. */
+        Cycles nextColumnAt = 0;
         Cycles lastActivateAt = 0; ///< For tRC.
         Cycles prechargeOkAt = 0;  ///< tRAS / tWR recovery.
     };
@@ -151,8 +203,9 @@ class DramModel
     }
 
     /** Schedule one block; returns its data-complete time. */
-    Cycles scheduleBlock(Cycles earliestStart, const DramCoord &c,
-                         bool isWrite, Cycles busTime);
+    SB_HOT Cycles scheduleBlock(Cycles earliestStart,
+                                const DramCoord &c, bool isWrite,
+                                Cycles busTime);
 
     Bank &bankOf(const DramCoord &c);
     Rank &rankOf(const DramCoord &c);
@@ -163,6 +216,7 @@ class DramModel
     std::vector<Rank> _ranks;
     std::vector<Channel> _channels;
     DramStats _stats;
+    std::uint64_t _scheduleSteps = 0;
 };
 
 } // namespace sboram

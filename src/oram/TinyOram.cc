@@ -48,6 +48,7 @@ TinyOram::TinyOram(const OramConfig &cfg, DramModel &dram,
         _faults = std::make_unique<FaultInjector>(cfg.fault);
     }
     _realLevel.assign(_geo.totalBlocks, kInStash);
+    _levelReady.assign(_geo.leafLevel + 1, 0);
     _stash.setHotnessOracle(_policy.get());
     if (cfg.payloadEnabled) {
         _stash.setPayloadRecycler(&_payloadPool);
@@ -160,33 +161,55 @@ TinyOram::nextEvictionLeaf()
     return leaf;
 }
 
-namespace {
-
-/** Append the DRAM coordinates of @p bucket's @p slots slots, mapping
- *  the bucket once (its slots are contiguous columns of one row). */
-SB_HOT void
-appendBucketCoords(const AddressMap &map, BucketIndex bucket,
-                   unsigned level, unsigned slots,
-                   std::vector<DramCoord> &out)
+SB_HOT Cycles
+TinyOram::schedulePath(DramModel &dram, LeafLabel leaf, Cycles start,
+                       bool isWrite, Cycles busTime,
+                       Cycles *levelReady) const
 {
-    DramCoord c = map.mapBucket(bucket, level);
-    for (unsigned s = 0; s < slots; ++s, ++c.column)
-        out.push_back(c);
+    const unsigned ttl = _cfg.treetopLevels;
+    const unsigned leafLevel = _geo.leafLevel;
+    const unsigned span = _addressMap.subtreeLevels();
+    const unsigned z = _cfg.slotsPerBucket;
+    Cycles finish = 0;
+    // Levels [lo, hi] are the off-chip part of one sub-tree group.
+    auto group = [&](unsigned lo, unsigned hi) {
+        const unsigned n = (hi - lo + 1) * z;
+        const DramCoord c =
+            _addressMap.mapBucket(_tree.bucketOnPath(leaf, lo), lo);
+        const DramRun run = dram.scheduleRun(start, c, n, isWrite,
+                                             busTime);
+        if (levelReady) {
+            for (unsigned level = lo; level <= hi; ++level)
+                levelReady[level] =
+                    run.first + (level - lo) * z * run.stride;
+        }
+        finish = std::max(finish, run.last(n));
+    };
+    if (isWrite) {
+        for (unsigned top = leafLevel + 1; top > ttl;) {
+            const unsigned hi = top - 1;
+            const unsigned lo = std::max(ttl, hi / span * span);
+            group(lo, hi);
+            top = lo;
+        }
+    } else {
+        for (unsigned lo = ttl; lo <= leafLevel;) {
+            const unsigned hi =
+                std::min(leafLevel, (lo / span + 1) * span - 1);
+            group(lo, hi);
+            lo = hi + 1;
+        }
+    }
+    return finish;
 }
-
-} // namespace
 
 Cycles
 TinyOram::estimatePathReadLatency()
 {
     DramModel probe(_dram.timing(), _dram.geometry());
-    std::vector<DramCoord> coords;
-    for (unsigned level = _cfg.treetopLevels;
-         level <= _geo.leafLevel; ++level)
-        appendBucketCoords(_addressMap, _tree.bucketOnPath(0, level),
-                           level, _cfg.slotsPerBucket, coords);
-    BatchTiming t = probe.accessBatch(0, coords, false);
-    return t.finish + _cfg.aesLatency;
+    const Cycles finish = schedulePath(
+        probe, 0, 0, false, _dram.timing().tBURST, nullptr);
+    return finish + _cfg.aesLatency;
 }
 
 void
@@ -333,18 +356,14 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
 
     const unsigned ttl = _cfg.treetopLevels;
     _tree.bucketsOnPath(leaf, _pathBuckets);
-    std::vector<DramCoord> &coords = _readCoords;
-    coords.clear();
-    coords.reserve((_geo.leafLevel + 1 - ttl) * _cfg.slotsPerBucket);
-    for (unsigned level = ttl; level <= _geo.leafLevel; ++level)
-        appendBucketCoords(_addressMap, _pathBuckets[level], level,
-                           _cfg.slotsPerBucket, coords);
-    BatchTiming batch = _dram.accessBatch(
-        startTime, coords, false, _cfg.xorCompression,
-        _cfg.slotsPerBucket);
+    const Cycles busTime = _dram.busTimeFor(
+        false, _cfg.xorCompression, _cfg.slotsPerBucket);
+    const Cycles stride = _dram.runStride(busTime);
+    const Cycles dramDone = schedulePath(_dram, leaf, startTime, false,
+                                         busTime, _levelReady.data());
 
     PathReadOutcome out;
-    out.finish = std::max(batch.finish,
+    out.finish = std::max(dramDone,
                           startTime + _cfg.onChipLatency) +
                  _cfg.aesLatency;
 
@@ -402,14 +421,13 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                                   _readOk.data());
     }
 
-    std::size_t dramIdx = 0;
     for (unsigned level = 0; level <= _geo.leafLevel; ++level) {
         const BucketIndex b = _pathBuckets[level];
         for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s) {
             const bool onChip = level < ttl;
             const Cycles ready = onChip
                 ? startTime + _cfg.onChipLatency
-                : batch.completion[dramIdx++];
+                : _levelReady[level] + s * stride;
             Slot &slot = _tree.slot(b, s);
             if (!slot.valid())
                 continue;
@@ -581,10 +599,7 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
     }
     _policy->beginPathWrite(leaf);
 
-    const unsigned ttl = _cfg.treetopLevels;
     _tree.bucketsOnPath(leaf, _pathBuckets);
-    std::vector<DramCoord> &coords = _writeCoords;
-    coords.clear();
 
     // Payloads of duplication candidates (blocks placed in this path
     // write and offered stash shadows), so shadow slots can be
@@ -732,11 +747,6 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
 
         for (; slotCursor < _cfg.slotsPerBucket; ++slotCursor)
             dummies.push_back(DummySlot{b, slotCursor, level});
-
-        // DRAM writes for off-chip levels, leaf to root order.
-        if (level >= ttl)
-            appendBucketCoords(_addressMap, b, level,
-                               _cfg.slotsPerBucket, coords);
     }
 
     // Pass 2 — fill dummy slots, root side first, so the rear-most
@@ -872,10 +882,12 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
 
     _policy->endPathWrite();
 
-    BatchTiming batch = _dram.accessBatch(
-        startTime + _cfg.aesLatency, coords, true);
+    // DRAM writes for the off-chip levels, leaf to root order.
+    const Cycles dramDone =
+        schedulePath(_dram, leaf, startTime + _cfg.aesLatency, true,
+                     _dram.timing().tBURST, nullptr);
     const Cycles done =
-        std::max(batch.finish, startTime + _cfg.onChipLatency);
+        std::max(dramDone, startTime + _cfg.onChipLatency);
     if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr) {
         // The modelled crypto phase: the whole path is re-encrypted
         // (one batch keystream pass) before the burst leaves the chip.

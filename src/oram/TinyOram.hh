@@ -350,6 +350,21 @@ class TinyOram
                              unsigned level,
                              std::vector<std::uint64_t> &payload);
 
+    /**
+     * Schedule the off-chip levels (treetopLevels..leafLevel) of the
+     * path to @p leaf on @p dram.  Each sub-tree group of
+     * AddressMap::subtreeLevels() levels shares one DRAM row, so it is
+     * one mapBucket and one DramModel::scheduleRun: root to leaf for
+     * a read, leaf to root for a write.  When @p levelReady is given,
+     * entry `level` receives the completion of that level's slot 0;
+     * slot s completes s * DramModel::runStride(busTime) later.
+     *
+     * @return Completion time of the path's last DRAM access.
+     */
+    Cycles schedulePath(DramModel &dram, LeafLabel leaf, Cycles start,
+                        bool isWrite, Cycles busTime,
+                        Cycles *levelReady) const;
+
     void initializeTree();
     std::vector<std::uint64_t> patternPayload(Addr addr,
                                               std::uint32_t version) const;
@@ -421,10 +436,9 @@ class TinyOram
     /** Recycled payload buffers (see VectorPool) — path reads pull
      *  from here instead of allocating one vector per block. */
     VectorPool _payloadPool;
-    /** Reused DRAM-coordinate scratch (one per direction so a path
-     *  write never clobbers the preceding read's buffer). */
-    std::vector<DramCoord> _readCoords;
-    std::vector<DramCoord> _writeCoords;
+    /** Path-read DRAM completion of slot 0 of each off-chip level
+     *  (sized leafLevel + 1 at construction; see schedulePath). */
+    std::vector<Cycles> _levelReady;
     /** Path-read crypto batch: the ciphertexts the read decrypts, in
      *  main-loop order, and their plaintexts and verdicts. */
     std::vector<CipherView> _readViews;
