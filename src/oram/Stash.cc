@@ -1,7 +1,5 @@
 #include "Stash.hh"
 
-#include <algorithm>
-
 namespace sboram {
 
 SB_HOT StashEntry *
@@ -12,18 +10,18 @@ Stash::displacementVictim()
     // 0) is the (hotness, seq) minimum.  The cursor skips the prefix
     // already found hot.
     if (!_hotness)
-        return _shadowHead;
-    for (StashEntry *e = _victimCursor; e; e = e->nextShadow) {
+        return _shadows.head;
+    for (StashEntry *e = _victimCursor; e; e = e->next) {
         if (_hotness->hotnessOf(e->addr) == 0)
             return e;
-        _victimCursor = e->nextShadow;
+        _victimCursor = e->next;
     }
     // Every shadow is hot, so each holds its own hot-cache entry and
     // there are at most as many as the cache has entries: take the
     // strict (hotness, seq) minimum over all of them.
     StashEntry *victim = nullptr;
     std::uint32_t coldest = ~std::uint32_t(0);
-    for (StashEntry *e = _shadowHead; e; e = e->nextShadow) {
+    for (StashEntry *e = _shadows.head; e; e = e->next) {
         const std::uint32_t hot = _hotness->hotnessOf(e->addr);
         if (hot < coldest) {
             coldest = hot;
@@ -45,7 +43,7 @@ Stash::enforceCapacity()
         StashEntry *victim = displacementVictim();
         if (victim == nullptr)
             break;  // Only real entries left; overflow accounting.
-        removeShadow(victim);
+        unlink(victim);
         recyclePayload(*victim);
         _entries.erase(victim->addr);
     }
@@ -65,8 +63,7 @@ Stash::insert(StashEntry entry)
         const Addr addr = entry.addr;
         auto [pos, inserted] = _entries.emplace(addr, std::move(entry));
         (void)inserted;
-        if (pos->second.isShadow())
-            addShadow(&pos->second);
+        link(&pos->second);
         enforceCapacity();
         trackOccupancy();
         return true;
@@ -98,9 +95,10 @@ Stash::insert(StashEntry entry)
               "stale shadow survived for addr %llu",
               static_cast<unsigned long long>(entry.addr));
     ++_stats.mergesRealWins;
-    removeShadow(&existing);
+    unlink(&existing);
     recyclePayload(existing);
     existing = std::move(entry);
+    link(&existing);  // Real tail: its fresh seq is the largest.
     ++_realCount;
     trackOccupancy();
     return true;
@@ -128,8 +126,7 @@ Stash::remove(Addr addr)
               static_cast<unsigned long long>(addr));
     if (it->second.type == BlockType::Real)
         --_realCount;
-    else
-        removeShadow(&it->second);
+    unlink(&it->second);
     recyclePayload(it->second);
     _entries.erase(it);
 }
@@ -139,7 +136,7 @@ Stash::dropShadowOf(Addr addr)
 {
     auto it = _entries.find(addr);
     if (it != _entries.end() && it->second.type == BlockType::Shadow) {
-        removeShadow(&it->second);
+        unlink(&it->second);
         recyclePayload(it->second);
         _entries.erase(it);
     }
@@ -168,31 +165,32 @@ Stash::serde(Self &self, Ar &ar)
     // iteration order is an implementation detail that varies across
     // processes, and a snapshot must be byte-identical for identical
     // stash contents (generation diffing, resume bit-equality tests).
-    std::vector<StashEntry> ordered;
     if constexpr (!Ar::kLoading) {
-        ordered.reserve(self._entries.size());
-        // sblint:allow-next-line(unordered-iteration): order canonicalised by the seq sort below
-        for (const auto &kv : self._entries)
-            ordered.push_back(kv.second);
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const StashEntry &a, const StashEntry &b) {
-                      return a.seq < b.seq;
-                  });
-    }
-    ar.seq(ordered, [&](auto &e) { StashEntry::serde(e, ar); });
-    if constexpr (Ar::kLoading) {
-        // The shadow list is derived: rebuilt in seq order, never
-        // serialized.  The victim cursor restarts at its head.
+        // The bytes ar.seq writes: the count, then the two class
+        // lists merged by seq.
+        ar.u64(self._entries.size());
+        const StashEntry *r = self._reals.head;
+        const StashEntry *s = self._shadows.head;
+        while (r || s) {
+            const StashEntry *&e = !s || (r && r->seq < s->seq) ? r : s;
+            StashEntry::serde(*e, ar);
+            e = e->next;
+        }
+    } else {
+        // ar.seq bounds-checks the count against the bytes left.  The
+        // lists are derived: rebuilt in seq order, never serialized.
+        // The victim cursor restarts at the shadow head.
+        std::vector<StashEntry> ordered;
+        ar.seq(ordered, [&](StashEntry &e) { StashEntry::serde(e, ar); });
         self._entries.clear();
-        self._shadowHead = self._shadowTail = nullptr;
+        self._reals = self._shadows = SeqList{};
         self._victimCursor = nullptr;
         for (StashEntry &e : ordered) {
             const Addr addr = e.addr;
             auto [pos, inserted] =
                 self._entries.emplace(addr, std::move(e));
-            (void)inserted;
-            if (pos->second.isShadow())
-                self.addShadow(&pos->second);
+            if (inserted)
+                self.link(&pos->second);
         }
     }
 }

@@ -41,11 +41,11 @@ struct StashEntry
     std::uint32_t version = 0;
     BlockType type = BlockType::Dummy;
     std::uint64_t seq = 0;  ///< Insertion order, for determinism.
-    /** Links in the stash's seq-ordered shadow list while this entry
-     *  is a stash-resident shadow; transient bookkeeping, not
-     *  serialized. */
-    StashEntry *prevShadow = nullptr;
-    StashEntry *nextShadow = nullptr;
+    /** Links in the stash's seq-ordered list of this entry's class
+     *  (reals or shadows) while the entry is stash-resident;
+     *  transient bookkeeping, not serialized. */
+    StashEntry *prev = nullptr;
+    StashEntry *next = nullptr;
     SB_SECRET std::vector<std::uint64_t> payload;
 
     bool isShadow() const { return type == BlockType::Shadow; }
@@ -116,9 +116,10 @@ class Stash
      * then shadows, each in insertion order.  @p commonLevelFn maps a
      * block leaf to the common prefix length.
      *
-     * Reference implementation: one rescan + sort per call.  The
-     * eviction hot path uses planEviction() instead, which computes
-     * the same ordering once per eviction; tests check the two agree.
+     * Reference implementation: one map rescan + sort per call.
+     * The eviction hot path uses planEvictionInto() instead, which
+     * walks the seq lists once per eviction; tests check the two
+     * agree.
      */
     template <typename CommonLevelFn>
     std::vector<Addr>
@@ -152,19 +153,19 @@ class Stash
         unsigned commonLevel = 0;  ///< Deepest level on the path.
         bool shadow = false;
         bool placed = false;  ///< Consumed by a placement already.
-        std::uint64_t seq = 0;
     };
 
     /**
-     * Per-eviction placement plan (see planEviction): every entry's
-     * common-prefix level with the eviction path, grouped up front
-     * and held in the canonical placement order (reals first, then
-     * shadows, insertion order within each class).  A path write
-     * walks the levels leaf-to-root, asking for the eligible entries
-     * of each level; entries it places are marked consumed so they
-     * stop appearing at shallower levels — exactly the behaviour of
-     * re-running eligibleForLevel() against the shrinking stash, at
-     * one pass + one sort per eviction instead of one per level.
+     * Per-eviction placement plan (see planEvictionInto): every
+     * entry's common-prefix level with the eviction path, computed
+     * up front and held in the canonical placement order (reals
+     * first, then shadows, insertion order within each class).  A
+     * path write walks the levels leaf-to-root, asking for the
+     * eligible entries of each level; entries it places are marked
+     * consumed so they stop appearing at shallower levels — exactly
+     * the behaviour of re-running eligibleForLevel() against the
+     * shrinking stash, at one list walk per eviction instead of one
+     * rescan per level.
      *
      * Valid only while no entries are *added* to the stash (path
      * write pass 1 only removes).
@@ -208,27 +209,13 @@ class Stash
     };
 
     /**
-     * Build the placement plan for one eviction: a single bucketing
-     * pass over the stash computes each entry's common-prefix level
-     * with the eviction path, then one sort establishes the
+     * Build the placement plan for one eviction into @p plan, reusing
+     * its storage: one walk of the seq lists computes each entry's
+     * common-prefix level with the eviction path, already in the
      * canonical order.  @p commonLevelFn maps a block leaf to the
-     * common prefix length with the eviction leaf.
-     */
-    template <typename CommonLevelFn>
-    EvictionPlan
-    planEviction(CommonLevelFn &&commonLevelFn) const
-    {
-        EvictionPlan plan;
-        planEvictionInto(plan,
-                         std::forward<CommonLevelFn>(commonLevelFn));
-        return plan;
-    }
-
-    /**
-     * In-place variant of planEviction: rebuilds @p plan, reusing its
-     * storage.  The eviction hot path keeps one plan object alive
-     * across path writes so planning allocates nothing in steady
-     * state.
+     * common prefix length with the eviction leaf.  The eviction hot
+     * path keeps one plan object alive across path writes so planning
+     * allocates nothing in steady state.
      */
     template <typename CommonLevelFn>
     void
@@ -237,35 +224,21 @@ class Stash
     {
         plan._order.clear();
         plan._order.reserve(_entries.size());
-        // sblint:allow-next-line(unordered-iteration): bucketing pass only; order canonicalised by the (class, seq) sort below
-        for (const auto &kv : _entries) {
-            PlanEntry e;
-            e.addr = kv.second.addr;
-            e.commonLevel = commonLevelFn(kv.second.leaf);
-            e.shadow = kv.second.isShadow();
-            e.seq = kv.second.seq;
-            plan._order.push_back(e);
-        }
-        std::sort(plan._order.begin(), plan._order.end(),
-                  [](const PlanEntry &a, const PlanEntry &b) {
-                      if (a.shadow != b.shadow)
-                          return !a.shadow;  // reals first
-                      return a.seq < b.seq;
-                  });
+        forEach([&](const StashEntry &e) {
+            plan._order.push_back(PlanEntry{
+                e.addr, commonLevelFn(e.leaf), e.isShadow(), false});
+        });
     }
 
-    /**
-     * Visit every entry (order unspecified by contract).  Callers
-     * that are order-sensitive must sort by the unique seq, or use
-     * forEachShadow() when only shadows matter.
-     */
+    /** Visit every real entry, then every shadow, each in seq
+     *  (insertion) order. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        // sblint:allow-next-line(unordered-iteration): contract is order-unspecified; order-sensitive callers sort by unique seq
-        for (const auto &kv : _entries)
-            fn(kv.second);
+        for (const StashEntry *e = _reals.head; e; e = e->next)
+            fn(*e);
+        forEachShadow(fn);
     }
 
     /** Visit every shadow entry in seq (insertion) order. */
@@ -273,7 +246,7 @@ class Stash
     void
     forEachShadow(Fn &&fn) const
     {
-        for (const StashEntry *e = _shadowHead; e; e = e->nextShadow)
+        for (const StashEntry *e = _shadows.head; e; e = e->next)
             fn(*e);
     }
 
@@ -292,12 +265,12 @@ class Stash
     setHotnessOracle(const DuplicationPolicy *policy)
     {
         _hotness = policy;
-        _victimCursor = _shadowHead;
+        _victimCursor = _shadows.head;
     }
 
     /** The hotness oracle's answers may have changed: forget which
      *  shadows are known hot. */
-    void hotnessChanged() { _victimCursor = _shadowHead; }
+    void hotnessChanged() { _victimCursor = _shadows.head; }
 
     /**
      * The shadow the next displacement would evict: the strict
@@ -346,40 +319,55 @@ class Stash
             _recycle->release(std::move(entry.payload));
     }
 
+    /** A seq-ordered intrusive list through StashEntry::prev/next. */
+    struct SeqList
+    {
+        StashEntry *head = nullptr;
+        StashEntry *tail = nullptr;
+    };
+
+    SeqList &
+    listOf(const StashEntry &e)
+    {
+        return e.isShadow() ? _shadows : _reals;
+    }
+
     /**
-     * Append @p entry to the shadow list.  Every caller adds the
+     * Append @p entry to its class's list.  Every caller adds the
      * entry with the largest seq so far (insert() assigns a fresh
      * one; a restore re-adds in seq order), so the list stays sorted.
      */
     void
-    addShadow(StashEntry *entry)
+    link(StashEntry *entry)
     {
-        entry->prevShadow = _shadowTail;
-        entry->nextShadow = nullptr;
-        if (_shadowTail)
-            _shadowTail->nextShadow = entry;
+        SeqList &list = listOf(*entry);
+        entry->prev = list.tail;
+        entry->next = nullptr;
+        if (list.tail)
+            list.tail->next = entry;
         else
-            _shadowHead = entry;
-        _shadowTail = entry;
-        if (!_victimCursor)
+            list.head = entry;
+        list.tail = entry;
+        if (entry->isShadow() && !_victimCursor)
             _victimCursor = entry;
     }
 
-    /** Unlink @p entry from the shadow list. */
+    /** Unlink @p entry from its class's list; every erase needs one. */
     void
-    removeShadow(StashEntry *entry)
+    unlink(StashEntry *entry)
     {
+        SeqList &list = listOf(*entry);
         if (_victimCursor == entry)
-            _victimCursor = entry->nextShadow;
-        if (entry->prevShadow)
-            entry->prevShadow->nextShadow = entry->nextShadow;
+            _victimCursor = entry->next;
+        if (entry->prev)
+            entry->prev->next = entry->next;
         else
-            _shadowHead = entry->nextShadow;
-        if (entry->nextShadow)
-            entry->nextShadow->prevShadow = entry->prevShadow;
+            list.head = entry->next;
+        if (entry->next)
+            entry->next->prev = entry->prev;
         else
-            _shadowTail = entry->prevShadow;
-        entry->prevShadow = entry->nextShadow = nullptr;
+            list.tail = entry->prev;
+        entry->prev = entry->next = nullptr;
     }
 
     unsigned _capacity;
@@ -387,13 +375,14 @@ class Stash
     std::uint64_t _realCount = 0;
     std::unordered_map<Addr, StashEntry> _entries;
     /**
-     * Every shadow entry in seq order, as an intrusive list through
+     * Every entry in seq order, one intrusive list per class through
      * the entries themselves (unordered_map nodes are
-     * pointer-stable).  Victim selection and the path write's
-     * stash-shadow offers walk this list instead of the map.
+     * pointer-stable).  The eviction plan, forEach(), the snapshot
+     * save, the path write's stash-shadow offers and the victim
+     * search walk these lists instead of the map.
      */
-    StashEntry *_shadowHead = nullptr;
-    StashEntry *_shadowTail = nullptr;
+    SeqList _reals;
+    SeqList _shadows;
     /**
      * First shadow not known to be hot: every shadow before it was
      * hot when displacementVictim() last probed it, and hotness has

@@ -631,10 +631,6 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
     // duplication policy: Rule-1 bounds them by their label's common
     // prefix with this path, Rule-2 by their real copy's tree level.
     if (_cfg.recirculateShadows) {
-        // Offer in seq order, not map order: the stash hash map's
-        // iteration order is an implementation detail that a
-        // checkpoint restore does not reproduce, and the offer order
-        // decides which candidates the duplication queues pop first.
         _stash.forEachShadow([&](const StashEntry &e) {
             const std::uint8_t realLvl = _realLevel[e.addr];
             SB_ASSERT(realLvl != kInStash,
@@ -672,12 +668,9 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
     std::vector<DummySlot> &dummies = _dummyScratch;
     dummies.clear();
 
-    // One bucketing pass + one sort for the whole eviction: each
-    // entry's common-prefix level with this path is computed once,
-    // replacing the per-level stash rescan (the measured pathWrite
-    // hot spot).  Placements mark entries consumed in the plan and
-    // remove them from the stash, so shallower levels see exactly
-    // what a fresh rescan would.
+    // Placements mark entries consumed in the plan and remove them
+    // from the stash, so shallower levels see exactly what a fresh
+    // rescan would.
     Stash::EvictionPlan &plan = _planScratch;
     _stash.planEvictionInto(plan, [&](LeafLabel blockLeaf) {
         return _tree.commonLevel(blockLeaf, leaf);

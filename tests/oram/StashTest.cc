@@ -190,7 +190,8 @@ TEST(Stash, PlanEvictionMatchesReferenceAtEveryLevel)
             return commonLevel(leaf, evictLeaf, leafLevel);
         };
 
-        Stash::EvictionPlan plan = stash.planEviction(fn);
+        Stash::EvictionPlan plan;
+        stash.planEvictionInto(plan, fn);
         for (unsigned level = 0; level <= leafLevel; ++level) {
             SCOPED_TRACE("round " + std::to_string(round) +
                          " level " + std::to_string(level));
@@ -218,7 +219,8 @@ TEST(Stash, PlanEvictionConsumptionMatchesShrinkingStash)
             return commonLevel(leaf, evictLeaf, leafLevel);
         };
 
-        Stash::EvictionPlan plan = stash.planEviction(fn);
+        Stash::EvictionPlan plan;
+        stash.planEvictionInto(plan, fn);
         for (int level = static_cast<int>(leafLevel); level >= 0;
              --level) {
             // Reference: first Z of a fresh rescan of the live stash.
@@ -331,15 +333,44 @@ struct RefStash
     }
 };
 
-/** Expect the stash to hold exactly the reference's entries, with
- *  its shadow list in seq order. */
+/** Leaf depth of the entries VictimIndexMatchesFullScan inserts. */
+constexpr unsigned kVictimLeafLevel = 6;
+
+/** The leaf VictimIndexMatchesFullScan gives an address. */
+LeafLabel
+leafOf(Addr addr)
+{
+    return addr % (LeafLabel(1) << kVictimLeafLevel);
+}
+
+/** Expect the stash to hold exactly the reference's entries; forEach
+ *  to yield every real, then every shadow, each in ascending seq;
+ *  the shadow list to be in seq order; and an eviction plan towards
+ *  @p evictLeaf to match the reference rescan at every level. */
 void
-expectSameContents(const Stash &stash, const RefStash &ref)
+expectSameContents(const Stash &stash, const RefStash &ref,
+                   LeafLabel evictLeaf)
 {
     std::map<Addr, RefStash::Entry> got;
+    std::vector<const StashEntry *> order;
     stash.forEach([&](const StashEntry &e) {
         got[e.addr] = RefStash::Entry{e.type, e.seq};
+        order.push_back(&e);
     });
+    ASSERT_EQ(order.size(), stash.size());
+    auto isReal = [](const StashEntry *e) { return !e->isShadow(); };
+    EXPECT_TRUE(std::is_partitioned(order.begin(), order.end(), isReal))
+        << "a real after a shadow";
+    EXPECT_EQ(std::uint64_t(std::partition_point(order.begin(),
+                                                 order.end(), isReal) -
+                            order.begin()),
+              stash.realCount());
+    for (std::size_t i = 1; i < order.size(); ++i) {
+        if (order[i - 1]->isShadow() == order[i]->isShadow()) {
+            EXPECT_LT(order[i - 1]->seq, order[i]->seq)
+                << "addr " << order[i]->addr;
+        }
+    }
     ASSERT_EQ(got.size(), ref.entries.size());
     for (const auto &[addr, e] : ref.entries) {
         auto it = got.find(addr);
@@ -354,6 +385,17 @@ expectSameContents(const Stash &stash, const RefStash &ref)
     });
     EXPECT_TRUE(std::is_sorted(shadowSeqs.begin(), shadowSeqs.end()));
     EXPECT_EQ(shadowSeqs.size(), stash.shadowCount());
+
+    auto fn = [&](LeafLabel leaf) {
+        return commonLevel(leaf, evictLeaf, kVictimLeafLevel);
+    };
+    Stash::EvictionPlan plan;
+    stash.planEvictionInto(plan, fn);
+    for (unsigned level = 0; level <= kVictimLeafLevel; ++level) {
+        EXPECT_EQ(plan.eligibleForLevel(level),
+                  stash.eligibleForLevel(level, fn))
+            << "level " << level;
+    }
 }
 
 } // namespace
@@ -363,8 +405,11 @@ TEST(Stash, VictimIndexMatchesFullScan)
     // Random inserts (new, real-wins, shadow-dup merges), removes,
     // dropShadowOf, hot-cache touches that force LFU evictions, and
     // save/load round trips.  After every step the indexed victim
-    // must be the reference's full-scan (hotness, seq) minimum, and
-    // every displacement must evict exactly the reference's victim.
+    // must be the reference's full-scan (hotness, seq) minimum, every
+    // displacement must evict exactly the reference's victim, the
+    // seq lists must hold the stash in (class, seq) order, and an
+    // eviction plan must match the reference rescan.  A restored
+    // stash must re-save to the same bytes.
     constexpr unsigned kCapacity = 12;
     constexpr Addr kAddrs = 40;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -391,7 +436,7 @@ TEST(Stash, VictimIndexMatchesFullScan)
                     before[e.addr] = RefStash::Entry{e.type, e.seq};
                 });
                 const std::vector<Addr> want = ref.insert(addr, type);
-                stash->insert(entry(addr, type));
+                stash->insert(entry(addr, type, 0, leafOf(addr)));
                 std::vector<Addr> got;
                 for (const auto &kv : before)
                     if (stash->find(kv.first) == nullptr)
@@ -427,12 +472,16 @@ TEST(Stash, VictimIndexMatchesFullScan)
                 stash = std::make_unique<Stash>(kCapacity);
                 stash->setHotnessOracle(&oracle);
                 stash->loadState(in);
+                ckpt::Serializer again;
+                stash->saveState(again);
+                EXPECT_EQ(again.buffer(), out.buffer());
             }
 
             const StashEntry *v = stash->displacementVictim();
             const Addr want = ref.victim();
             EXPECT_EQ(v ? v->addr : kInvalidAddr, want);
-            expectSameContents(*stash, ref);
+            expectSameContents(*stash, ref,
+                               step % (LeafLabel(1) << kVictimLeafLevel));
             if (HasFailure())
                 return;
         }

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Build the fault and checkpoint tests under ASan/UBSan in a nested
-# build tree and run them.  Registered as the `sanitize_smoke` ctest
+# Build the fault, checkpoint and stash tests under ASan/UBSan in a
+# nested build tree and run them.  Registered as the `sanitize_smoke` ctest
 # (tests/), which builds under its own build tree; also usable
 # standalone:
 #
@@ -14,6 +14,9 @@
 # tree.  The checkpoint subsystem joins it: snapshot parsing walks
 # attacker-shaped bytes (truncated, bit-flipped, hostile lengths)
 # where an out-of-bounds read is exactly the bug class ASan catches.
+# The stash keeps its entries on intrusive seq lists of raw pointers
+# into hash-map nodes, so a missed unlink before an erase is a
+# use-after-free that only a sanitizer reliably catches.
 set -eu
 
 SRC_DIR=${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}
@@ -23,7 +26,7 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
     -DSB_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" \
-    --target test_fault test_ckpt test_sim chaos_storm \
+    --target test_fault test_ckpt test_oram test_sim chaos_storm \
     -j >/dev/null
 
 # Die on any UBSan report instead of just printing it.
@@ -31,6 +34,8 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_fault"
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_ckpt"
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+    "$BUILD_DIR/tests/test_oram" --gtest_filter='Stash.*'
 
 # The payload determinism test drives the allocation-free slab access
 # path (pooled buffers, batched keystream scratch, raw CipherRef
@@ -58,7 +63,8 @@ cat <<'EOF'
 
 tooling gate       ctest name      what it covers
 -----------------  --------------  --------------------------------
-ASan/UBSan         sanitize_smoke  fault + checkpoint memory safety
+ASan/UBSan         sanitize_smoke  fault + checkpoint + stash list
+                                   memory safety
 ThreadSanitizer    tsan_smoke      runner pool / future handoff races
 sblint             sblint_smoke    determinism/obliviousness/serde
                                    contracts (zero unsuppressed)
