@@ -195,7 +195,7 @@ outcomeFingerprint(const PointOutcome &o)
 
 /** Run one point.  Self-contained for defer(): capture by value.  A
  *  watchdog trip is recorded, not rethrown — the bench reports it as
- *  the availability loss it is and fails the run at the end. */
+ *  the resolution loss it is and fails the run at the end. */
 PointOutcome
 runPoint(svc::ServiceConfig cfg)
 {
@@ -274,8 +274,8 @@ runBench()
     }
 
     Table t("Service storm — open-loop latency under load");
-    t.header({"profile", "policy", "avail", "p50", "p99", "p999",
-              "dedup", "early", "shed", "bp-in", "maxq"});
+    t.header({"profile", "policy", "resolved", "goodput", "p50", "p99",
+              "p999", "dedup", "early", "shed", "bp-in", "maxq"});
 
     struct Row
     {
@@ -306,14 +306,15 @@ runBench()
             checksum ^= outcomeFingerprint(o0);
             if (o0.stalled)
                 ++watchdogTrips;
-            if (o0.s.availability() < 1.0)
+            if (o0.s.resolvedFraction() < 1.0)
                 lost = true;
             if (std::string(profile.name) == "storm")
                 stormShed += o0.s.requestsShed;
             rows.push_back({profile.name, policy.name, o0});
             t.beginRow(profile.name);
             t.cell(policy.name);
-            t.cell(o0.s.availability(), 2);
+            t.cell(o0.s.resolvedFraction(), 2);
+            t.cell(o0.s.goodput(), 2);
             t.cell(static_cast<std::uint64_t>(o0.s.latencyP50));
             t.cell(static_cast<std::uint64_t>(o0.s.latencyP99));
             t.cell(static_cast<std::uint64_t>(o0.s.latencyP999));
@@ -326,9 +327,10 @@ runBench()
     }
     t.print();
     std::printf(
-        "\navailability 1.00 means every arrival reached a terminal "
-        "outcome — completed or shed with a reason; the storm row "
-        "shedding under a tight deadline while the queue stays "
+        "\nresolved 1.00 means every arrival reached a terminal "
+        "outcome — completed or shed with a reason; goodput is the "
+        "completed share alone, so it drops with every shed; the "
+        "storm row shedding under a tight deadline while the queue stays "
         "bounded is the overload contract working, and the "
         "duplicating policies beating tiny on p99 is the paper's "
         "forwarding argument measured as tail latency\n");
@@ -393,7 +395,7 @@ runBench()
             std::fprintf(
                 f,
                 "    {\"profile\": \"%s\", \"policy\": \"%s\", "
-                "\"availability\": %.4f, "
+                "\"resolved\": %.4f, \"goodput\": %.4f, "
                 "\"completed\": %llu, \"shed\": %llu, "
                 "\"shed_admission\": %llu, \"shed_deadline\": %llu, "
                 "\"dedup_joins\": %llu, \"shadow_early\": %llu, "
@@ -406,7 +408,8 @@ runBench()
                 "\"latency_p999\": %llu, \"latency_max\": %llu, "
                 "\"latency_mean\": %.2f, "
                 "\"finish_time\": %llu, ",
-                rows[i].profile, rows[i].policy, s.availability(),
+                rows[i].profile, rows[i].policy, s.resolvedFraction(),
+                s.goodput(),
                 static_cast<unsigned long long>(s.completed),
                 static_cast<unsigned long long>(s.requestsShed),
                 static_cast<unsigned long long>(s.shedAdmission),
@@ -504,7 +507,7 @@ runBench()
     if (lost) {
         std::fprintf(stderr,
                      "service_storm: a point lost requests "
-                     "(availability < 1.0)\n");
+                     "(resolved < 1.0)\n");
         return 1;
     }
     if (stormShed == 0) {

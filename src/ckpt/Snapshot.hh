@@ -40,16 +40,17 @@ namespace sboram {
 namespace ckpt {
 
 /** Current snapshot format version.  Version 5: histograms gained a
- *  binning-kind tag in their serialized form and the new
- *  kSectionReqObs carries the request-observability state (timeline
- *  pool, stage accumulator, exemplar reservoir, SLO monitor, flight
- *  recorder).  Version 4: the RecoveryManager state grew the
- *  service-pressure latch, and service-mode snapshots add the
- *  kSectionSvc cursor (arrival-generator state, admitted queue,
- *  latency samples).  Version 3 added the recovery ladder's state,
- *  the tier-3 reseed generation and resilience counters.  Old
- *  snapshots are rejected with CkptVersionError before any state is
- *  mutated and fall back per the existing recovery tiers. */
+ *  binning-kind tag in their serialized form (log2 is now the only
+ *  kind the loader accepts) and the new kSectionReqObs carries the
+ *  request-observability state (timeline pool, one latency sample
+ *  per stage, exemplar reservoir, SLO monitor, flight recorder).
+ *  Version 4: the RecoveryManager state grew the service-pressure
+ *  latch, and service-mode snapshots add the kSectionSvc cursor
+ *  (arrival-generator state, admitted queue, latency sample).
+ *  Version 3 added the recovery ladder's state, the tier-3 reseed
+ *  generation and resilience counters.  Old snapshots are rejected
+ *  with CkptVersionError before any state is mutated and fall back
+ *  per the existing recovery tiers. */
 constexpr std::uint32_t kSnapshotVersion = 5;
 
 /** Well-known section ids used by sim/System and friends. */

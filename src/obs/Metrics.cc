@@ -1,5 +1,6 @@
 #include "Metrics.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace sboram {
@@ -36,24 +37,31 @@ MetricRegistry::gauge(const char *name, std::function<double()> fn)
 }
 
 HistogramSink &
-MetricRegistry::histogram(const char *name, std::size_t bins,
-                          double width)
-{
-    for (auto &h : _histograms)
-        if (h.name == name)
-            return h.item;
-    _histograms.push_back({name, HistogramSink(bins, width)});
-    return _histograms.back().item;
-}
-
-HistogramSink &
 MetricRegistry::histogramLog2(const char *name, std::size_t bins)
 {
     for (auto &h : _histograms)
         if (h.name == name)
             return h.item;
-    _histograms.push_back({name, HistogramSink::makeLog2(bins)});
+    _histograms.push_back({name, HistogramSink(bins)});
     return _histograms.back().item;
+}
+
+SortedCut
+LatencySample::cut() const
+{
+    SortedCut cut;
+    if (_values.empty())
+        return cut;
+    std::vector<Cycles> sorted = _values;
+    std::sort(sorted.begin(), sorted.end());
+    cut.count = sorted.size();
+    cut.p50 = nearestRank(sorted, 500);
+    cut.p99 = nearestRank(sorted, 990);
+    cut.p999 = nearestRank(sorted, 999);
+    cut.max = sorted.back();
+    for (Cycles v : sorted)
+        cut.total += v;
+    return cut;
 }
 
 std::vector<double>
@@ -163,11 +171,8 @@ IntervalSampler::renderJsonl() const
         out += "}\n";
     }
     for (const auto &h : _registry.histograms()) {
-        const bool log2 =
-            h.sink->kind() == HistogramSink::Kind::Log2;
-        out += "{\"histogram\": \"" + h.name + "\", \"kind\": \"" +
-               (log2 ? "log2" : "linear") + "\", \"bin_width\": " +
-               formatDouble(h.sink->binWidth()) +
+        out += "{\"histogram\": \"" + h.name +
+               "\", \"kind\": \"log2\", \"bin_width\": 1"
                ", \"samples\": " + std::to_string(h.sink->samples()) +
                ", \"counts\": [";
         const auto &counts = h.sink->counts();

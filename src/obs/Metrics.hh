@@ -1,12 +1,13 @@
 /**
  * @file
- * Time-series metrics for one simulation run (DESIGN.md §9).
+ * Time-series metrics and latency samples for one simulation run
+ * (DESIGN.md §9).
  *
- * A MetricRegistry holds named counters, gauges and histograms in
- * registration order.  One registry belongs to exactly one run, and a
- * run executes on exactly one ExperimentRunner worker, so every sink
- * is a plain per-thread (unshared, lock-free) slot: the hot path is
- * `++value` with no atomics and no locks.  Cross-run aggregation
+ * A MetricRegistry holds named counters, gauges and log2 histograms
+ * in registration order.  One registry belongs to exactly one run,
+ * and a run executes on exactly one ExperimentRunner worker, so every
+ * sink is a plain per-thread (unshared, lock-free) slot: the hot path
+ * is `++value` with no atomics and no locks.  Cross-run aggregation
  * happens offline, over the emitted artifacts.
  *
  * The IntervalSampler snapshots every registered metric each N
@@ -15,6 +16,9 @@
  * order) when the run closes.  The rows travel inside checkpoints
  * (ckpt::kSectionObs) so a resumed run neither loses nor
  * double-counts samples.
+ *
+ * LatencySample is the exact counterpart of a histogram: it keeps
+ * every value and cuts nearest-rank percentiles from them.
  */
 
 #ifndef SBORAM_OBS_METRICS_HH
@@ -26,6 +30,9 @@
 #include <vector>
 
 #include "ckpt/Serde.hh"
+#include "common/Errors.hh"
+#include "common/Stats.hh"
+#include "common/Types.hh"
 
 namespace sboram {
 namespace obs {
@@ -44,52 +51,35 @@ struct Counter
 inline constexpr std::size_t kLog2SubBuckets = 8;
 
 /** Default bin count for log-bucketed latency histograms: 192 bins of
- *  8 sub-buckets cover values up to ~2^26 cycles before the overflow
- *  bin — storm-profile retry latencies sit mid-range instead of
- *  clipping as they did under 64 linear bins. */
+ *  8 sub-buckets resolve values up to ~2^26 cycles (larger values
+ *  clamp into the last bin), so storm-profile retry latencies sit
+ *  mid-range. */
 inline constexpr std::size_t kDefaultLog2Bins = 192;
 
 /**
- * Fixed-capacity histogram with an overflow bin.  Two binning kinds:
- *  - Linear: bin i covers [i*width, (i+1)*width) — the PR 5 layout;
- *  - Log2: HDR-style log-bucketed bins, kLog2SubBuckets per octave,
- *    exact integer boundaries (values are virtual cycles), so tail
- *    percentile bins stay ~12.5% wide at any latency magnitude.
- * The serialized form leads with a kind tag; snapshot version 5 gates
- * the format change (older snapshots are rejected before any state
- * mutates and the run replays from scratch).
+ * Fixed-capacity HDR-style histogram over virtual cycles: log2 bins,
+ * kLog2SubBuckets per octave with exact integer boundaries, so tail
+ * percentile bins stay ~12.5% wide at any latency magnitude.  The
+ * counts carry one slot past the last bin, which log2BinOf()'s clamp
+ * never fills.  The serialized form leads with a kind tag (always
+ * log2) and a bin width (always 1.0), which the kSectionObs snapshot
+ * layout fixes; a stream carrying any other kind tag is rejected.
  */
 class HistogramSink
 {
   public:
-    enum class Kind : std::uint8_t { Linear = 0, Log2 = 1 };
-
-    HistogramSink(std::size_t bins, double width)
-        : _width(width <= 0.0 ? 1.0 : width), _counts(bins + 1, 0) {}
-
-    /** Overflow bin only: a restore target whose state is loaded. */
-    HistogramSink() : HistogramSink(0, 1.0) {}
-
-    /** Log2-binned sink with @p bins bins plus overflow. */
-    static HistogramSink
-    makeLog2(std::size_t bins)
+    /** @p bins log2 bins plus the trailing slot (0: a restore target
+     *  whose state is loaded). */
+    explicit HistogramSink(std::size_t bins = 0) : _counts(bins + 1, 0)
     {
-        HistogramSink h(bins, 1.0);
-        h._kind = Kind::Log2;
-        return h;
     }
 
     void
     sample(double v)
     {
-        std::size_t bin;
-        if (_kind == Kind::Log2) {
-            bin = log2BinOf(
-                v < 0 ? 0 : static_cast<std::uint64_t>(v),
-                _counts.size() - 1);
-        } else {
-            bin = v < 0 ? 0 : static_cast<std::size_t>(v / _width);
-        }
+        std::size_t bin = log2BinOf(
+            v < 0 ? 0 : static_cast<std::uint64_t>(v),
+            _counts.size() - 1);
         if (bin >= _counts.size() - 1)
             bin = _counts.size() - 1;
         ++_counts[bin];
@@ -142,10 +132,53 @@ class HistogramSink
         hi = lo + (std::uint64_t(1) << (octave - 1));
     }
 
-    Kind kind() const { return _kind; }
     const std::vector<std::uint64_t> &counts() const { return _counts; }
     std::uint64_t samples() const { return _n; }
-    double binWidth() const { return _width; }
+
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
+
+  private:
+    /** Kind tag of the log2 layout on the wire. */
+    static constexpr std::uint8_t kLog2Kind = 1;
+
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        std::uint8_t kind = kLog2Kind;
+        double width = 1.0;
+        ar.u8(kind);
+        ar.f64(width);
+        if constexpr (Ar::kLoading)
+            if (kind != kLog2Kind)
+                throw CkptMismatchError(
+                    "histogram kind " + std::to_string(kind) +
+                    " is not log2");
+        ar.u64(self._n);
+        ar.vecU64(self._counts);
+    }
+
+    std::vector<std::uint64_t> _counts;
+    std::uint64_t _n = 0;
+};
+
+/**
+ * Exact latency sample: every value in insertion order, cut into
+ * nearest-rank percentiles on demand.  The one latency-sample type:
+ * the service's end-to-end latency and each per-stage attribution
+ * sample are LatencySamples, and their cuts feed ServiceStats.  The
+ * wire form is one vecU64 of the values in insertion order.
+ */
+class LatencySample
+{
+  public:
+    void reserve(std::size_t n) { _values.reserve(n); }
+    void add(Cycles v) { _values.push_back(v); }
+    std::size_t size() const { return _values.size(); }
+
+    /** Sort a copy and cut it with nearestRank(). */
+    SortedCut cut() const;
 
     void saveState(ckpt::Serializer &out) const { serde(*this, out); }
     void loadState(ckpt::Deserializer &in) { serde(*this, in); }
@@ -155,16 +188,10 @@ class HistogramSink
     static void
     serde(Self &self, Ar &ar)
     {
-        ar.u8As(self._kind);
-        ar.f64(self._width);
-        ar.u64(self._n);
-        ar.vecU64(self._counts);
+        ar.vecU64(self._values);
     }
 
-    Kind _kind = Kind::Linear;
-    double _width;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _n = 0;
+    std::vector<Cycles> _values;
 };
 
 /**
@@ -180,10 +207,6 @@ class MetricRegistry
 
     /** Register a polled gauge.  Re-registering replaces the fn. */
     void gauge(const char *name, std::function<double()> fn);
-
-    /** Histogram under @p name (created on first use). */
-    HistogramSink &histogram(const char *name, std::size_t bins,
-                             double width);
 
     /** Log2-binned histogram under @p name (created on first use). */
     HistogramSink &histogramLog2(const char *name, std::size_t bins);

@@ -106,38 +106,6 @@ TimelinePool::release(std::uint32_t slot)
     _free.push_back(slot);
 }
 
-void
-StageAccumulator::addCompletion(const TimelineRecord &rec)
-{
-    for (std::size_t i = 0; i < kStageIdCount; ++i) {
-        const Cycles t = rec.total(static_cast<StageId>(i));
-        if (t != 0)
-            _samples[i].push_back(t);
-    }
-}
-
-std::array<StageCut, kStageIdCount>
-StageAccumulator::finalize() const
-{
-    std::array<StageCut, kStageIdCount> cuts;
-    for (std::size_t i = 0; i < kStageIdCount; ++i)
-        cuts[i] = sortedCut(_samples[i]);
-    return cuts;
-}
-
-template <class Self, class Ar>
-void
-StageAccumulator::serde(Self &self, Ar &ar)
-{
-    for (auto &samples : self._samples)
-        ar.vecU64(samples);
-}
-
-template void StageAccumulator::serde(const StageAccumulator &,
-                                      ckpt::Serializer &);
-template void StageAccumulator::serde(StageAccumulator &,
-                                      ckpt::Deserializer &);
-
 ExemplarReservoir::ExemplarReservoir(PrfKey key, std::size_t perBin,
                                      std::size_t bins)
     : _key(key), _perBin(perBin == 0 ? 1 : perBin), _bins(bins)

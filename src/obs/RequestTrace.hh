@@ -12,9 +12,9 @@
  * stage append is an array store.
  *
  * On completion a record feeds two consumers:
- *  - the StageAccumulator, which collects exact per-stage durations
- *    and computes the nearest-rank p50/p99/p999 attribution table
- *    ("where does p999 live");
+ *  - one exact LatencySample per stage (obs/Metrics.hh), held by the
+ *    pipeline, whose nearest-rank p50/p99/p999 cuts are the
+ *    attribution table ("where does p999 live");
  *  - the ExemplarReservoir, which keeps the K PRF-lowest-priority
  *    completions per log2 latency bin and dumps them as JSONL, so a
  *    high histogram bin links to concrete request traces.
@@ -206,33 +206,9 @@ class TimelinePool
 };
 
 /** Exact per-stage latency cut of one run (attribution table row):
- *  count = completions with time in the stage. */
+ *  count = completions with time in the stage.  Cut from one
+ *  LatencySample per stage. */
 using StageCut = SortedCut;
-
-/**
- * Collects per-stage durations of every completion and cuts exact
- * nearest-rank percentiles at the end of the run.  Always on (the
- * cuts land in ServiceStats whether or not anyone is watching), so
- * observation cannot change the externally visible output.
- */
-class StageAccumulator
-{
-  public:
-    /** Fold one completed request's stage totals in. */
-    void addCompletion(const TimelineRecord &rec);
-
-    /** Exact per-stage cuts (index = StageId). */
-    std::array<StageCut, kStageIdCount> finalize() const;
-
-    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
-    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
-
-  private:
-    template <class Self, class Ar>
-    static void serde(Self &self, Ar &ar);
-
-    std::array<std::vector<Cycles>, kStageIdCount> _samples;
-};
 
 /**
  * PRF-deterministic exemplar sampling: per log2 latency bin, keep the

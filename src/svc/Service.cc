@@ -131,8 +131,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
 
     ServiceStats stats;
     std::deque<Request> queue;
-    std::vector<Cycles> latencies;
-    latencies.reserve(std::min<std::uint64_t>(total, 1u << 20));
+    obs::LatencySample latency;
+    latency.reserve(std::min<std::uint64_t>(total, 1u << 20));
     Cycles now = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t resolved = 0;
@@ -144,7 +144,9 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     // any further admission can happen, so the number of live
     // timeline records never exceeds the queue bound.
     obs::TimelinePool pool(cfg.queueCapacity);
-    obs::StageAccumulator stageAcc;
+    // Exact per-stage durations of every completion (index = StageId;
+    // a stage enters a sample only when the request spent time in it).
+    std::array<obs::LatencySample, obs::kStageIdCount> stageSamples;
     obs::ExemplarReservoir exemplars(
         PrfKey{0x7376632d6578656dULL /* "svc-exem" */,
                cfg.arrivals.seed},
@@ -316,7 +318,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         ++stats.completed;
         ++resolved;
         const Cycles lat = at - r.arrival;
-        latencies.push_back(lat);
+        latency.add(lat);
         if (usedShadow)
             ++stats.shadowEarlyCompletions;
         if (latencyHist != nullptr)
@@ -329,12 +331,14 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             // of a completion must reproduce its measured latency.
             if (rec.totalAll() != lat)
                 ++stats.stageBalanceViolations;
-            stageAcc.addCompletion(rec);
             exemplars.offer(rec, lat, usedShadow, r.attempts);
             for (std::size_t i = 0; i < obs::kStageIdCount; ++i) {
                 const Cycles t =
                     rec.total(static_cast<obs::StageId>(i));
-                if (stageHists[i] != nullptr && t != 0)
+                if (t == 0)
+                    continue;
+                stageSamples[i].add(t);
+                if (stageHists[i] != nullptr)
                     stageHists[i]->sample(static_cast<double>(t));
             }
             pool.release(slot);
@@ -397,7 +401,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         ar.u8As(pressureOn);
         ar.seq(queue, [&](auto &r) { Request::serde(r, ar); });
         ServiceStats::serde(stats, ar);
-        ar.vecU64(latencies);
+        ar.nested(latency);
     };
     auto reqObsSection = [&](auto &ar) {
         constexpr bool loading =
@@ -419,7 +423,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             ar.nested(
                 pool.at(static_cast<std::uint32_t>(r.timelineSlot)));
         }
-        ar.nested(stageAcc);
+        for (obs::LatencySample &sample : stageSamples)
+            ar.nested(sample);
         ar.nested(exemplars);
         ar.nested(slo);
         ar.nested(flight);
@@ -669,21 +674,21 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     stats.sloWindows = slo.windows();
     stats.sloBreaches = slo.breaches();
     stats.sloWorstBurnMilli = slo.worstBurnMilli();
-    stats.stages = stageAcc.finalize();
+    for (std::size_t i = 0; i < obs::kStageIdCount; ++i)
+        stats.stages[i] = stageSamples[i].cut();
     stats.exemplarsJsonl = exemplars.renderJsonl();
     stats.flightJson = ctrl.publishFlight();
 
     stats.finishTime = now;
     stats.oram = ctrl.oram().stats();
-    if (!latencies.empty()) {
-        const SortedCut cut = sortedCut(latencies);
-        stats.latencyP50 = cut.p50;
-        stats.latencyP99 = cut.p99;
-        stats.latencyP999 = cut.p999;
-        stats.latencyMax = cut.max;
+    const SortedCut cut = latency.cut();
+    stats.latencyP50 = cut.p50;
+    stats.latencyP99 = cut.p99;
+    stats.latencyP999 = cut.p999;
+    stats.latencyMax = cut.max;
+    if (cut.count != 0)
         stats.latencyMean = static_cast<double>(cut.total) /
                             static_cast<double>(cut.count);
-    }
 
     if (session != nullptr)
         session->removeSnapshots();

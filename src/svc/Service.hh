@@ -242,15 +242,27 @@ struct ServiceStats
         ar.u64(s.stageBalanceViolations);
     }
 
-    /** Resolved fraction: every request must reach a terminal
-     *  outcome, so anything below 1.0 is a pipeline failure. */
+    /** Resolved fraction, (completed + shed) / arrivals: every
+     *  request must reach a terminal outcome, so anything below 1.0
+     *  is a pipeline failure.  1.0 says nothing about how many were
+     *  served; that is goodput(). */
     double
-    availability() const
+    resolvedFraction() const
     {
         return arrivals == 0
                    ? 1.0
                    : static_cast<double>(completed + requestsShed) /
                          static_cast<double>(arrivals);
+    }
+
+    /** Served fraction, completed / arrivals: drops below 1.0 with
+     *  every shed request. */
+    double
+    goodput() const
+    {
+        return arrivals == 0 ? 1.0
+                             : static_cast<double>(completed) /
+                                   static_cast<double>(arrivals);
     }
 };
 

@@ -515,8 +515,9 @@ TEST_F(CkptGolden, ServiceComponentsReserializeToSameBytes)
         EXPECT_EQ(out.buffer(), prefix);
     }
 
-    // kSectionReqObs: timeline records, then the accumulator, the
-    // exemplar reservoir, the SLO monitor and the flight recorder.
+    // kSectionReqObs: timeline records, then one latency sample per
+    // stage, the exemplar reservoir, the SLO monitor and the flight
+    // recorder.
     const Bytes &req = s.at(ckpt::kSectionReqObs);
     ckpt::Deserializer in(req.data(), req.size());
     ckpt::Serializer out;
@@ -528,9 +529,11 @@ TEST_F(CkptGolden, ServiceComponentsReserializeToSameBytes)
         rec.loadState(in);
         rec.saveState(out);
     }
-    obs::StageAccumulator acc;
-    acc.loadState(in);
-    acc.saveState(out);
+    for (std::size_t i = 0; i < obs::kStageIdCount; ++i) {
+        obs::LatencySample stage;
+        stage.loadState(in);
+        stage.saveState(out);
+    }
     obs::ExemplarReservoir exemplars(PrfKey{1, 2}, 4,
                                      obs::kDefaultLog2Bins);
     exemplars.loadState(in);
@@ -582,15 +585,12 @@ TEST(CkptGoldenObs, RegistryAndSamplerReserializeToSameBytes)
     auto wire = [](obs::MetricRegistry &reg) {
         reg.counter("a");
         reg.counter("b");
-        reg.histogram("lin", 8, 2.5);
         reg.histogramLog2("log", 32);
     };
     obs::MetricRegistry reg;
     wire(reg);
     reg.counter("a").add(3);
     reg.counter("b").add(11);
-    for (double v : {0.0, 1.0, 7.5, 19.0, 1e6})
-        reg.histogram("lin", 8, 2.5).sample(v);
     for (double v : {3.0, 100.0, 4096.0, 1e9})
         reg.histogramLog2("log", 32).sample(v);
     obs::IntervalSampler sampler(reg, 2);
@@ -600,7 +600,7 @@ TEST(CkptGoldenObs, RegistryAndSamplerReserializeToSameBytes)
     ckpt::Serializer out;
     reg.saveState(out);
     sampler.saveState(out);
-    EXPECT_EQ(digest(out.buffer()), 0x2eb2f56fc746f794ULL);
+    EXPECT_EQ(digest(out.buffer()), 0x503779f8fe774116ULL);
 
     obs::MetricRegistry reg2;
     wire(reg2);

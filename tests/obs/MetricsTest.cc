@@ -3,10 +3,16 @@
  * MetricRegistry / IntervalSampler unit tests: registration order is
  * the column order, the sampler's cadence and rows are exact, the
  * JSONL rendering is valid JSON Lines, and sampler state survives a
- * serde round trip without losing or double-counting rows.
+ * serde round trip without losing or double-counting rows.  The
+ * exact LatencySample cuts nearest-rank percentiles and saves its
+ * values as one vecU64 in insertion order.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "ckpt/Serde.hh"
 #include "obs/Json.hh"
@@ -59,16 +65,86 @@ TEST(MetricRegistry, GaugesArePolledAtSampleTime)
 
 TEST(HistogramSink, BinsAndOverflow)
 {
-    HistogramSink h(4, 10.0);
+    HistogramSink h(4);  // Log2 bins below 8 are one value wide.
     h.sample(0.0);
-    h.sample(9.9);
-    h.sample(39.9);
+    h.sample(0.9);
+    h.sample(1.5);
     h.sample(1e9);
     h.sample(-3.0);  // Clamped into bin 0.
     EXPECT_EQ(h.samples(), 5u);
     EXPECT_EQ(h.counts()[0], 3u);
+    EXPECT_EQ(h.counts()[1], 1u);
+    // Past the top boundary, log2BinOf() clamps into the last bin;
+    // the trailing overflow slot is never filled.
     EXPECT_EQ(h.counts()[3], 1u);
-    EXPECT_EQ(h.counts()[4], 1u);  // Overflow bin.
+    EXPECT_EQ(h.counts()[4], 0u);
+}
+
+// --- exact latency sample ----------------------------------------------
+
+namespace {
+
+/** 1..n, ascending. */
+std::vector<std::uint64_t>
+ranks(std::uint64_t n)
+{
+    std::vector<std::uint64_t> v;
+    for (std::uint64_t i = 1; i <= n; ++i)
+        v.push_back(i);
+    return v;
+}
+
+} // namespace
+
+TEST(SortedCut, EmptySampleIsAllZero)
+{
+    const SortedCut cut = LatencySample().cut();
+    EXPECT_EQ(cut.count, 0u);
+    EXPECT_EQ(cut.p50, 0u);
+    EXPECT_EQ(cut.p999, 0u);
+    EXPECT_EQ(cut.max, 0u);
+    EXPECT_EQ(cut.total, 0u);
+}
+
+TEST(SortedCut, SortsThenCuts)
+{
+    std::vector<std::uint64_t> v = ranks(1001);
+    std::reverse(v.begin(), v.end());
+    LatencySample sample;
+    for (std::uint64_t x : v)
+        sample.add(x);
+    const SortedCut cut = sample.cut();
+    EXPECT_EQ(cut.count, 1001u);
+    EXPECT_EQ(cut.p50, 501u);
+    EXPECT_EQ(cut.p99, 991u);
+    EXPECT_EQ(cut.p999, 1000u);
+    EXPECT_EQ(cut.max, 1001u);
+    EXPECT_EQ(cut.total, 1001u * 1002u / 2);
+}
+
+TEST(LatencySample, WireIsOneVecU64InInsertionOrder)
+{
+    const std::vector<std::uint64_t> values = {30, 10, 20, 10, 5};
+    LatencySample sample;
+    for (std::uint64_t x : values)
+        sample.add(x);
+    // Cutting sorts a copy: the saved order stays insertion order.
+    EXPECT_EQ(sample.cut().max, 30u);
+
+    ckpt::Serializer out;
+    sample.saveState(out);
+    ckpt::Serializer expected;
+    expected.vecU64(values);
+    EXPECT_EQ(out.buffer(), expected.buffer());
+
+    LatencySample back;
+    ckpt::Deserializer in(out.buffer().data(), out.buffer().size());
+    back.loadState(in);
+    EXPECT_TRUE(in.atEnd());
+    EXPECT_EQ(back.size(), values.size());
+    ckpt::Serializer again;
+    back.saveState(again);
+    EXPECT_EQ(again.buffer(), out.buffer());
 }
 
 TEST(IntervalSampler, CadenceHonoursInterval)
@@ -107,7 +183,7 @@ TEST(IntervalSampler, RenderedJsonlIsValid)
     MetricRegistry reg;
     reg.counter(kMetricRequests).add(17);
     reg.gauge(kMetricDriCounter, [] { return 2.5; });
-    reg.histogram(kMetricReqLatency, 4, 64.0).sample(100.0);
+    reg.histogramLog2(kMetricReqLatency, 4).sample(100.0);
     IntervalSampler sampler(reg, 1);
     sampler.onAccess(1, 11);
     sampler.onAccess(2, 22);
@@ -125,7 +201,7 @@ TEST(IntervalSampler, StateRoundTripsThroughSerde)
 {
     MetricRegistry reg;
     Counter &c = reg.counter(kMetricRequests);
-    reg.histogram(kMetricReqLatency, 8, 32.0).sample(50.0);
+    reg.histogramLog2(kMetricReqLatency, 8).sample(50.0);
     IntervalSampler sampler(reg, 100);
     c.add(40);
     for (std::uint64_t a = 1; a <= 250; ++a)
@@ -138,7 +214,7 @@ TEST(IntervalSampler, StateRoundTripsThroughSerde)
     // Fresh run, same registration order (the resume contract).
     MetricRegistry reg2;
     reg2.counter(kMetricRequests);
-    reg2.histogram(kMetricReqLatency, 8, 32.0);
+    reg2.histogramLog2(kMetricReqLatency, 8);
     IntervalSampler sampler2(reg2, 100);
     ckpt::Deserializer in(out.buffer().data(), out.buffer().size());
     reg2.loadState(in);

@@ -118,19 +118,45 @@ TEST(Log2Bins, MonotoneWithExactBounds)
 
 TEST(Log2Bins, KindTagRoundTripsThroughSerde)
 {
-    HistogramSink h = HistogramSink::makeLog2(kDefaultLog2Bins);
+    HistogramSink h(kDefaultLog2Bins);
     h.sample(3.0);
     h.sample(1000.0);
     h.sample(1e9);
     ckpt::Serializer out;
     h.saveState(out);
+    // Kind tag 1 (log2), then bin width 1.0: the wire layout the
+    // snapshot digests pin.
+    ASSERT_GT(out.buffer().size(), 9u);
+    EXPECT_EQ(out.buffer()[0], 1u);
+    ckpt::Deserializer head(out.buffer().data() + 1,
+                            out.buffer().size() - 1);
+    EXPECT_EQ(head.f64(), 1.0);
 
-    HistogramSink back(1, 1.0);  // Linear scratch; stream re-kinds it.
+    HistogramSink back;  // Restore target; the stream sizes it.
     ckpt::Deserializer in(out.buffer().data(), out.buffer().size());
     back.loadState(in);
-    EXPECT_EQ(back.kind(), HistogramSink::Kind::Log2);
+    EXPECT_TRUE(in.atEnd());
     EXPECT_EQ(back.samples(), h.samples());
     EXPECT_EQ(back.counts(), h.counts());
+    ckpt::Serializer again;
+    back.saveState(again);
+    EXPECT_EQ(again.buffer(), out.buffer());
+}
+
+TEST(Log2Bins, LoaderRejectsAnyOtherKind)
+{
+    HistogramSink h(8);
+    h.sample(5.0);
+    ckpt::Serializer out;
+    h.saveState(out);
+    for (std::uint8_t kind : {0, 2, 255}) {
+        std::vector<std::uint8_t> bytes = out.buffer();
+        bytes[0] = kind;  // The retired linear kind was 0.
+        HistogramSink back;
+        ckpt::Deserializer in(bytes.data(), bytes.size());
+        EXPECT_THROW(back.loadState(in), CkptMismatchError)
+            << "kind " << unsigned(kind);
+    }
 }
 
 // --- timeline pool and record -----------------------------------------

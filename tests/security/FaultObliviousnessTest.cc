@@ -297,7 +297,7 @@ TEST_P(FaultObliviousness, ServiceSheddingStaysInseparableUnderFaults)
         // pipeline fail-operational throughout.
         EXPECT_GT(st.requestsShed, 0u);
         EXPECT_GT(st.oram.faultsRecovered, 0u);
-        EXPECT_DOUBLE_EQ(st.availability(), 1.0);
+        EXPECT_DOUBLE_EQ(st.resolvedFraction(), 1.0);
 
         std::vector<double> rates;
         const auto &ev = rec.events();

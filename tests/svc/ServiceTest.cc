@@ -113,7 +113,7 @@ TEST(Service, EveryArrivalReachesOneTerminalOutcome)
     const svc::ServiceStats s = svc::runService(serviceConfig());
     EXPECT_EQ(s.arrivals, 500u);
     EXPECT_EQ(s.completed + s.requestsShed, s.arrivals);
-    EXPECT_EQ(s.availability(), 1.0);
+    EXPECT_EQ(s.resolvedFraction(), 1.0);
     EXPECT_EQ(s.admitted + s.shedAdmission, s.arrivals);
     EXPECT_GT(s.issuedAccesses, 0u);
     EXPECT_GT(s.latencyP50, 0u);
@@ -195,8 +195,13 @@ TEST(Service, OverloadShedsDeterministicallyWithABoundedQueue)
     // Overload is real, every request still terminates, and the
     // queue never outgrew its bound.
     EXPECT_EQ(s.completed + s.requestsShed, s.arrivals);
-    EXPECT_EQ(s.availability(), 1.0);
+    EXPECT_EQ(s.resolvedFraction(), 1.0);
     EXPECT_GT(s.requestsShed, 0u);
+    // Resolving every arrival is not serving it: goodput counts only
+    // the completions, so the sheds must show.
+    EXPECT_LT(s.goodput(), 1.0);
+    EXPECT_DOUBLE_EQ(s.goodput(), static_cast<double>(s.completed) /
+                                      static_cast<double>(s.arrivals));
     EXPECT_LE(s.maxQueueDepth, cfg.queueCapacity);
     // The burst had to cycle the backpressure latch, and the latch
     // always releases by the end of the run.

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Build the fault, checkpoint and stash tests under ASan/UBSan in a
-# nested build tree and run them.  Registered as the `sanitize_smoke` ctest
-# (tests/), which builds under its own build tree; also usable
-# standalone:
+# Build the fault, checkpoint, stash and histogram tests under
+# ASan/UBSan in a nested build tree and run them.  Registered as the
+# `sanitize_smoke` ctest (tests/), which builds under its own build
+# tree; also usable standalone:
 #
 #     tools/sanitize_smoke.sh [source-dir] [build-dir]
 #
@@ -16,7 +16,9 @@
 # where an out-of-bounds read is exactly the bug class ASan catches.
 # The stash keeps its entries on intrusive seq lists of raw pointers
 # into hash-map nodes, so a missed unlink before an erase is a
-# use-after-free that only a sanitizer reliably catches.
+# use-after-free that only a sanitizer reliably catches.  The log2
+# histogram loader reads snapshot bytes too, and the exact latency
+# samples travel across kill-and-resume in the service snapshot.
 set -eu
 
 SRC_DIR=${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}
@@ -26,7 +28,8 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
     -DSB_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" \
-    --target test_fault test_ckpt test_oram test_sim chaos_storm \
+    --target test_fault test_ckpt test_oram test_sim test_obs \
+    chaos_storm \
     -j >/dev/null
 
 # Die on any UBSan report instead of just printing it.
@@ -36,6 +39,11 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_ckpt"
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_oram" --gtest_filter='Stash.*'
+
+# The histogram loader on snapshot bytes (kind-tag rejection) and the
+# service's latency samples across kill-and-resume.
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+    "$BUILD_DIR/tests/test_obs" --gtest_filter='Log2Bins.*:RequestObs.*'
 
 # The payload determinism test drives the allocation-free slab access
 # path (pooled buffers, batched keystream scratch, raw CipherRef
@@ -63,8 +71,9 @@ cat <<'EOF'
 
 tooling gate       ctest name      what it covers
 -----------------  --------------  --------------------------------
-ASan/UBSan         sanitize_smoke  fault + checkpoint + stash list
-                                   memory safety
+ASan/UBSan         sanitize_smoke  fault + checkpoint + stash list +
+                                   histogram loader + latency-sample
+                                   resume memory safety
 ThreadSanitizer    tsan_smoke      runner pool / future handoff races
 sblint             sblint_smoke    determinism/obliviousness/serde
                                    contracts (zero unsuppressed)

@@ -12,9 +12,9 @@
 #      a watchdog trip, or any lost request,
 #   3. the two BENCH_latency.json artifacts must be byte-identical —
 #      thread count must not leak into any committed number,
-#   4. every (profile, policy) point must report availability 1.0000:
+#   4. every (profile, policy) point must report resolved 1.0000:
 #      overload sheds requests with a structured reason, it never
-#      loses them,
+#      loses them (goodput, the completed share, may drop below 1),
 #   5. the storm profile must actually shed (> 0 on every policy) and
 #      report zero watchdog trips — the overload path was exercised
 #      and stayed live.
@@ -53,22 +53,22 @@ J8="$WORK8/BENCH_latency.json"
 cmp -s "$J1" "$J8" ||
     fail "BENCH_latency.json differs between SB_BENCH_THREADS=1 and 8"
 
-# --- 4. per-artifact flags and full availability ----------------------
+# --- 4. per-artifact flags and every arrival resolved ------------------
 grep -q '"deterministic": true' "$J1" ||
     fail "determinism flag not set in BENCH_latency.json"
 grep -q '"watchdog_trips": 0' "$J1" ||
     fail "a liveness watchdog tripped during the storm"
 
-BAD=$(grep -o '"profile": "[a-z]*", "policy": "[a-z]*", "availability": [0-9.]*' "$J1" |
-    grep -v '"availability": 1.0000' || true)
+BAD=$(grep -o '"profile": "[a-z]*", "policy": "[a-z]*", "resolved": [0-9.]*' "$J1" |
+    grep -v '"resolved": 1.0000' || true)
 [ -z "$BAD" ] || fail "a point lost requests: $BAD"
 
 # --- 5. the storm profile really shed, on every policy ----------------
-NOSHED=$(grep -o '"profile": "storm", "policy": "[a-z]*", "availability": [0-9.]*, "completed": [0-9]*, "shed": [0-9]*' "$J1" |
+NOSHED=$(grep -o '"profile": "storm", "policy": "[a-z]*", "resolved": [0-9.]*, "goodput": [0-9.]*, "completed": [0-9]*, "shed": [0-9]*' "$J1" |
     grep '"shed": 0' || true)
 [ -z "$NOSHED" ] || fail "storm profile failed to shed: $NOSHED"
 
-SHED=$(grep -o '"profile": "storm", "policy": "[a-z]*", "availability": [0-9.]*, "completed": [0-9]*, "shed": [0-9]*' "$J1" |
+SHED=$(grep -o '"profile": "storm", "policy": "[a-z]*", "resolved": [0-9.]*, "goodput": [0-9.]*, "completed": [0-9]*, "shed": [0-9]*' "$J1" |
     awk -F'"shed": ' '{s += $2} END {print s}')
 echo "service_smoke: OK ($SHED structured sheds across the storm row," \
     "artifacts byte-identical at 1 and 8 threads)"
