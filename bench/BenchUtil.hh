@@ -281,7 +281,6 @@ emitPanicDiag(const std::string &fallback)
  * handlers when checkpointing is active, and classifies the expected
  * exception families onto conventional exit codes:
  *   130 — interrupted (final snapshot already on disk; resume it),
- *   kRetryExhaustedExitCode (3) — a point spent its retry budget,
  *   kFatalExitCode (2) — corruption, invariant violation, a stalled
  *       service scheduler, or any other simulator error.
  * Every fatal path emits one machine-readable `panic-diag:` line.
@@ -299,13 +298,6 @@ guardedMain(int (*body)())
                      "to resume\n",
                      e.what());
         return 130;
-    } catch (const RetryBudgetExhaustedError &e) {
-        std::fprintf(stderr, "retry budget exhausted: %s\n", e.what());
-        emitPanicDiag(strprintf(
-            "event=retry_exhausted label=%s attempts=%u slept_ms=%llu",
-            e.label().c_str(), e.attempts(),
-            static_cast<unsigned long long>(e.sleptMs())));
-        return kRetryExhaustedExitCode;
     } catch (const CorruptionError &e) {
         std::fprintf(stderr, "fatal: %s\n", e.what());
         emitPanicDiag(strprintf(

@@ -114,10 +114,11 @@ runBench()
                 "same-version shadows\n");
 
     // Error-propagation demo: the highest-rate HD point again, but
-    // with UnrecoverablePolicy::Throw and bounded retry.  A task that
-    // throws fails its future promptly — get() rethrows on this
-    // thread instead of deadlocking the sweep — and each retry rolls
-    // a fresh fault realisation (shifted fault seed).
+    // with UnrecoverablePolicy::Throw and up to three immediate
+    // retries.  A task that throws fails its future promptly — get()
+    // rethrows on this thread instead of deadlocking the sweep — and
+    // each retry rolls a fresh fault realisation (fault seed +
+    // attempt).
     SystemConfig throwCfg =
         withScheme(faultSystem(), Scheme::Shadow, ShadowMode::HdOnly);
     throwCfg.oram.fault = faultBase;
@@ -131,16 +132,6 @@ runBench()
                     "detected corruptions\n",
                     static_cast<unsigned long long>(m.faultsRecovered),
                     static_cast<unsigned long long>(m.faultsDetected));
-    } catch (const RetryBudgetExhaustedError &e) {
-        // The structured per-point failure record: the sweep reports
-        // the loss and finishes instead of tearing down.
-        std::printf("throw+retry: point '%s' exhausted its retry "
-                    "budget after %u attempt(s), %llu ms of backoff "
-                    "(last error: %s)\n",
-                    e.label().c_str(), e.attempts(),
-                    static_cast<unsigned long long>(e.sleptMs()),
-                    e.lastError().c_str());
-        return 0;
     } catch (const CorruptionError &e) {
         std::printf("throw+retry: lost a block on every attempt "
                     "(last: access %llu, bucket %llu, level %u)\n",

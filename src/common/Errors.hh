@@ -140,42 +140,6 @@ class InterruptedError : public SimError
 };
 
 /**
- * A retried experiment point ran out of retry budget: every attempt
- * failed with a retryable error and either the attempt count or the
- * backoff-time budget is spent.  This is the structured per-point
- * failure record a sweep reports instead of tearing down — it carries
- * the point label, how many attempts ran, how long the backoff ladder
- * slept, and the last underlying error, so a harness can log the loss
- * and move on to the next point.
- */
-class RetryBudgetExhaustedError : public SimError
-{
-  public:
-    RetryBudgetExhaustedError(const std::string &label,
-                              unsigned attempts, std::uint64_t sleptMs,
-                              const std::string &lastError)
-        : SimError("retry budget exhausted for " + label + " after " +
-                   std::to_string(attempts) + " attempt(s), " +
-                   std::to_string(sleptMs) + " ms of backoff; last "
-                   "error: " + lastError),
-          _label(label), _attempts(attempts), _sleptMs(sleptMs),
-          _lastError(lastError) {}
-
-    const std::string &label() const { return _label; }
-    /** Attempts that ran (including the first, non-retry one). */
-    unsigned attempts() const { return _attempts; }
-    /** Total milliseconds the backoff ladder slept before giving up. */
-    std::uint64_t sleptMs() const { return _sleptMs; }
-    const std::string &lastError() const { return _lastError; }
-
-  private:
-    std::string _label;
-    unsigned _attempts;
-    std::uint64_t _sleptMs;
-    std::string _lastError;
-};
-
-/**
  * The service-layer liveness watchdog observed a scheduler that made
  * no progress (no admission, no completion, no virtual-time advance)
  * for its configured bound of iterations — a wedged pipeline.  The

@@ -26,15 +26,6 @@ namespace sboram {
 /** Exit status of fatal(): configuration / usage error. */
 inline constexpr int kFatalExitCode = 2;
 
-/**
- * Exit status of a bench whose sweep lost a point to retry-budget
- * exhaustion (RetryBudgetExhaustedError): every attempt failed with a
- * retryable fault and the attempt/backoff budget is spent.  Distinct
- * from kFatalExitCode so CI can tell "rerun with a bigger budget"
- * from "fix the configuration".
- */
-inline constexpr int kRetryExhaustedExitCode = 3;
-
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line,

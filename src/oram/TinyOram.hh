@@ -371,9 +371,6 @@ class TinyOram
     /** In-place variant: fills @p out, reusing its capacity. */
     void patternPayloadInto(Addr addr, std::uint32_t version,
                             std::vector<std::uint64_t> &out) const;
-    void writeSlotToDram(BucketIndex bucket, unsigned slotIdx,
-                         const Slot &value,
-                         const std::vector<std::uint64_t> *plain);
 
     OramConfig _cfg;
     OramGeometry _geo;

@@ -1,7 +1,6 @@
 #include "ExperimentRunner.hh"
 
 #include <cstdlib>
-#include <future>
 #include <unordered_map>
 
 #include "ckpt/Checkpoint.hh"
@@ -36,8 +35,8 @@ struct TraceKeyHash
 };
 
 std::mutex g_traceMutex;
-std::unordered_map<TraceKey, std::shared_future<SharedTrace>,
-                   TraceKeyHash> g_traceCache;
+std::unordered_map<TraceKey, Future<SharedTrace>, TraceKeyHash>
+    g_traceCache;
 
 /**
  * Stable identity of one experiment point across process relaunches:
@@ -102,7 +101,7 @@ cachedTrace(const std::string &workload, std::uint64_t misses,
     // the same key) wait on the shared future instead of repeating
     // the work, and lookups for other keys proceed unblocked.
     std::promise<SharedTrace> producer;
-    std::shared_future<SharedTrace> slot;
+    Future<SharedTrace> slot;
     bool isProducer = false;
     {
         std::lock_guard<std::mutex> lock(g_traceMutex);
@@ -191,10 +190,6 @@ ExperimentRunner::submit(const SystemConfig &cfg, std::string workload,
 {
     // Trace generation happens on the worker so it parallelises too;
     // the cache deduplicates concurrent generation per key.
-    RetryPolicy policy;
-    policy.retries = retries;
-    policy.label = workload;
-    policy.jitterSeed = seed ^ configFingerprint(cfg);
     return deferRetry(
         [cfg, workload = std::move(workload), misses,
          seed](unsigned attempt) {
@@ -214,32 +209,24 @@ ExperimentRunner::submit(const SystemConfig &cfg, std::string workload,
             return runPointDurable(c, workload, misses, seed, attempt,
                                    trace);
         },
-        std::move(policy));
+        retries);
 }
 
 Future<RunMetrics>
 ExperimentRunner::submitTrace(const SystemConfig &cfg,
-                              SharedTrace trace, unsigned retries)
+                              SharedTrace trace)
 {
     SB_ASSERT(trace != nullptr, "null trace submitted");
     // Caller-materialised traces have no stable identity across
     // process relaunches, so these points run checkpoint-free; use
     // submit() for resumable sweeps.
-    RetryPolicy policy;
-    policy.retries = retries;
-    policy.label = "trace";
-    policy.jitterSeed = configFingerprint(cfg);
-    return deferRetry(
-        [cfg, trace = std::move(trace)](unsigned attempt) {
-            SystemConfig c = cfg;
-            c.oram.fault.seed += attempt;
-            obs::applyEnv(c.obs);
-            if (c.obs.any() && c.obs.label.empty())
-                c.obs.label =
-                    obs::makeLabel("trace", configFingerprint(c));
-            return runSystem(c, *trace);
-        },
-        std::move(policy));
+    return defer([cfg, trace = std::move(trace)] {
+        SystemConfig c = cfg;
+        obs::applyEnv(c.obs);
+        if (c.obs.any() && c.obs.label.empty())
+            c.obs.label = obs::makeLabel("trace", configFingerprint(c));
+        return runSystem(c, *trace);
+    });
 }
 
 std::vector<RunMetrics>
@@ -249,7 +236,7 @@ ExperimentRunner::runAll(const std::vector<ExperimentPoint> &points)
     futures.reserve(points.size());
     for (const ExperimentPoint &p : points)
         futures.push_back(
-            submit(p.cfg, p.workload, p.misses, p.seed, p.retries));
+            submit(p.cfg, p.workload, p.misses, p.seed));
     std::vector<RunMetrics> results;
     results.reserve(futures.size());
     for (const Future<RunMetrics> &f : futures)

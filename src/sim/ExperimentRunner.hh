@@ -14,6 +14,12 @@
  * time, which *is* the old sequential path (same execution order,
  * same interleaving of any stderr diagnostics).
  *
+ * Results come back as Future<T>, which is std::shared_future<T>.  A
+ * point submitted with retries that fails with a retryable SimError
+ * reruns at once under the next fault seed (fault.seed + attempt).
+ * The simulation is deterministic and nothing outside the process
+ * heals while a worker waits, so there is no backoff and no budget.
+ *
  * A process-wide trace cache backs the runner: the Tiny/RD/HD triples
  * of a figure all replay the same (workload, misses, seed) trace, and
  * regenerating it per point used to be the benches' second-largest
@@ -23,15 +29,14 @@
 #ifndef SBORAM_SIM_EXPERIMENTRUNNER_HH
 #define SBORAM_SIM_EXPERIMENTRUNNER_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -40,25 +45,9 @@
 
 #include "System.hh"
 #include "common/Errors.hh"
-#include "crypto/Prf.hh"
 #include "workload/Workload.hh"
 
 namespace sboram {
-
-namespace detail {
-
-/** Shared completion state behind a Future. */
-template <typename T>
-struct FutureState
-{
-    std::mutex mutex;
-    std::condition_variable ready;
-    std::optional<T> value;
-    /** Set instead of value when the task threw; get() rethrows. */
-    std::exception_ptr error;
-};
-
-} // namespace detail
 
 /**
  * Handle to a submitted experiment's result.  get() blocks until the
@@ -68,33 +57,7 @@ struct FutureState
  * failed future stays failed).
  */
 template <typename T>
-class Future
-{
-  public:
-    Future() = default;
-
-    const T &
-    get() const
-    {
-        std::unique_lock<std::mutex> lock(_state->mutex);
-        // sblint:allow-next-line(unbounded-wait): the pool completes or fails every task — the error path stores _state->error and notifies, so this wait always terminates
-        _state->ready.wait(lock, [&] {
-            return _state->value.has_value() ||
-                   _state->error != nullptr;
-        });
-        if (_state->error)
-            std::rethrow_exception(_state->error);
-        return *_state->value;
-    }
-
-    bool valid() const { return _state != nullptr; }
-
-    explicit Future(std::shared_ptr<detail::FutureState<T>> state)
-        : _state(std::move(state)) {}
-
-  private:
-    std::shared_ptr<detail::FutureState<T>> _state;
-};
+using Future = std::shared_future<T>;
 
 /** Immutable, shareable LLC-miss trace. */
 using SharedTrace = std::shared_ptr<const std::vector<LlcMissRecord>>;
@@ -108,58 +71,6 @@ using SharedTrace = std::shared_ptr<const std::vector<LlcMissRecord>>;
 SharedTrace cachedTrace(const std::string &workload,
                         std::uint64_t misses, std::uint64_t seed);
 
-/**
- * How a retried task backs off and when it gives up.  All fields are
- * deterministic inputs: the same (policy, attempt) pair always yields
- * the same delay, so a sweep's retry schedule is reproducible —
- * attempt timing never depends on wall clock, thread count, or launch
- * order.
- */
-struct RetryPolicy
-{
-    /** Extra attempts after the first (0 = fail on first error). */
-    unsigned retries = 0;
-    /** First delay in ms; doubles each attempt.  0 = no sleeping
-     *  (the historic immediate-rerun behavior). */
-    unsigned backoffBaseMs = 2;
-    /** Ceiling for the exponential term (jitter rides on top). */
-    unsigned backoffCapMs = 64;
-    /** Total sleep budget in ms across all attempts; exceeding it
-     *  throws RetryBudgetExhaustedError instead of sleeping again.
-     *  0 = unlimited (only `retries` bounds the loop). */
-    unsigned budgetMs = 0;
-    /** Seed for the PRF jitter (decorrelates concurrent points). */
-    std::uint64_t jitterSeed = 0;
-    /** Point name carried into the failure record. */
-    std::string label = "point";
-};
-
-/**
- * Delay before retry number @p attempt (0-based: the delay slept
- * after attempt 0 failed).  Exponential in the attempt number, capped
- * at backoffCapMs, plus PRF jitter in [0, backoffBaseMs) keyed by
- * (jitterSeed, label, attempt) — pure and deterministic.
- */
-inline std::uint64_t
-retryBackoffMs(const RetryPolicy &p, unsigned attempt)
-{
-    if (p.backoffBaseMs == 0)
-        return 0;
-    std::uint64_t delay = p.backoffBaseMs;
-    for (unsigned i = 0; i < attempt && delay < p.backoffCapMs; ++i)
-        delay *= 2;
-    if (delay > p.backoffCapMs)
-        delay = p.backoffCapMs;
-    PrfKey key;
-    key.lo = p.jitterSeed * 0x9e3779b97f4a7c15ULL + 0xb0ffULL;
-    key.hi = p.jitterSeed ^ 0x5bd1e9955bd1e995ULL;
-    std::uint64_t labelHash = 0xcbf29ce484222325ULL;
-    for (char c : p.label)
-        labelHash = (labelHash ^ static_cast<unsigned char>(c)) *
-                    0x100000001b3ULL;
-    return delay + prf64(key, labelHash, attempt) % p.backoffBaseMs;
-}
-
 /** One experiment point for batch submission. */
 struct ExperimentPoint
 {
@@ -167,8 +78,6 @@ struct ExperimentPoint
     std::string workload;
     std::uint64_t misses = 0;
     std::uint64_t seed = 0;
-    /** Extra attempts after a retryable SimError (transient faults). */
-    unsigned retries = 0;
 };
 
 class ExperimentRunner
@@ -189,9 +98,10 @@ class ExperimentRunner
     /**
      * Run one experiment point (trace via the process-wide cache).
      * @param retries Extra attempts after a *retryable* SimError
-     * (e.g. a transient-fault CorruptionError).  Each retry shifts
-     * the point's fault seed so the rerun sees a fresh fault
-     * realisation; attempt 0 is always the configured seed.
+     * (e.g. a transient-fault CorruptionError).  Each retry reruns at
+     * once under the next fault seed (fault.seed + attempt), so it
+     * sees a fresh fault realisation; attempt 0 is always the
+     * configured seed.
      */
     Future<RunMetrics> submit(const SystemConfig &cfg,
                               std::string workload,
@@ -201,8 +111,7 @@ class ExperimentRunner
 
     /** Run one point over an already-materialised trace. */
     Future<RunMetrics> submitTrace(const SystemConfig &cfg,
-                                   SharedTrace trace,
-                                   unsigned retries = 0);
+                                   SharedTrace trace);
 
     /**
      * Run a batch and return results in submission order, regardless
@@ -222,75 +131,45 @@ class ExperimentRunner
     defer(Fn fn) -> Future<std::invoke_result_t<Fn &>>
     {
         using R = std::invoke_result_t<Fn &>;
-        auto state = std::make_shared<detail::FutureState<R>>();
-        post([state, fn = std::move(fn)]() mutable {
+        // std::function needs a copyable task, so the promise lives
+        // behind a shared_ptr.
+        auto promise = std::make_shared<std::promise<R>>();
+        Future<R> future = promise->get_future().share();
+        post([promise, fn = std::move(fn)]() mutable {
             // A throwing task must fail its future, not unwind the
             // worker thread: an uncaught exception here would
             // std::terminate the process and leave every other
             // get() deadlocked.
             try {
-                R result = fn();
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->value.emplace(std::move(result));
+                promise->set_value(fn());
             } catch (...) {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->error = std::current_exception();
+                promise->set_exception(std::current_exception());
             }
-            state->ready.notify_all();
         });
-        return Future<R>(state);
+        return future;
     }
 
     /**
-     * defer() with bounded, backed-off retry: @p fn receives the
-     * attempt number (0-based).  A SimError whose retryable() is true
-     * is retried after a deterministic exponential-backoff delay
-     * (retryBackoffMs) until either the attempt count or the sleep
-     * budget of @p policy is spent.  Attempt exhaustion rethrows the
-     * last underlying error; budget exhaustion throws
-     * RetryBudgetExhaustedError — a structured per-point record the
-     * sweep can log without tearing down.  Non-retryable errors fail
-     * the future immediately.
+     * defer() with immediate retry: @p fn receives the attempt number
+     * (0-based).  A SimError whose retryable() is true reruns @p fn at
+     * once, up to @p retries extra attempts; the last attempt's error
+     * fails the future.  Non-retryable errors fail it immediately.
      */
-    template <typename Fn>
-    auto
-    deferRetry(Fn fn, RetryPolicy policy)
-        -> Future<std::invoke_result_t<Fn &, unsigned>>
-    {
-        return defer(
-            [fn = std::move(fn), policy = std::move(policy)]() mutable {
-                std::uint64_t sleptMs = 0;
-                for (unsigned attempt = 0;; ++attempt) {
-                    try {
-                        return fn(attempt);
-                    } catch (const SimError &e) {
-                        if (!e.retryable() || attempt >= policy.retries)
-                            throw;
-                        const std::uint64_t delay =
-                            retryBackoffMs(policy, attempt);
-                        if (policy.budgetMs != 0 &&
-                            sleptMs + delay > policy.budgetMs)
-                            throw RetryBudgetExhaustedError(
-                                policy.label, attempt + 1, sleptMs,
-                                e.what());
-                        if (delay > 0)
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(delay));
-                        sleptMs += delay;
-                    }
-                }
-            });
-    }
-
-    /** Retry with the default backoff policy (legacy signature). */
     template <typename Fn>
     auto
     deferRetry(Fn fn, unsigned retries)
         -> Future<std::invoke_result_t<Fn &, unsigned>>
     {
-        RetryPolicy policy;
-        policy.retries = retries;
-        return deferRetry(std::move(fn), std::move(policy));
+        return defer([fn = std::move(fn), retries]() mutable {
+            for (unsigned attempt = 0;; ++attempt) {
+                try {
+                    return fn(attempt);
+                } catch (const SimError &e) {
+                    if (!e.retryable() || attempt >= retries)
+                        throw;
+                }
+            }
+        });
     }
 
     /**

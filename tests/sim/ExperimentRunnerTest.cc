@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "sim/ExperimentRunner.hh"
 
 using namespace sboram;
@@ -237,74 +239,6 @@ TEST(ExperimentRunner, DeferRetryHonoursRetryability)
     EXPECT_EQ(calls, 1u);
 }
 
-TEST(ExperimentRunner, BackoffScheduleIsDeterministicAndBounded)
-{
-    RetryPolicy p;
-    p.backoffBaseMs = 16;
-    p.backoffCapMs = 128;
-    p.jitterSeed = 42;
-    p.label = "sweep-point-7";
-
-    for (unsigned attempt = 0; attempt < 12; ++attempt) {
-        const std::uint64_t d = retryBackoffMs(p, attempt);
-        // Pure function of (policy, attempt).
-        EXPECT_EQ(d, retryBackoffMs(p, attempt));
-        // Exponential term in [base, cap], jitter in [0, base).
-        EXPECT_GE(d, p.backoffBaseMs);
-        EXPECT_LT(d, p.backoffCapMs + p.backoffBaseMs);
-        if (attempt == 0) {
-            EXPECT_LT(d, 2u * p.backoffBaseMs);
-        }
-    }
-
-    // Different jitter seeds decorrelate the schedules: concurrent
-    // points retrying the same attempt must not thunder in lockstep.
-    RetryPolicy q = p;
-    q.jitterSeed = 43;
-    bool differs = false;
-    for (unsigned attempt = 0; attempt < 12 && !differs; ++attempt)
-        differs = retryBackoffMs(p, attempt) != retryBackoffMs(q, attempt);
-    EXPECT_TRUE(differs);
-
-    // base 0 keeps the historic immediate-rerun behavior.
-    RetryPolicy z = p;
-    z.backoffBaseMs = 0;
-    EXPECT_EQ(retryBackoffMs(z, 0), 0u);
-    EXPECT_EQ(retryBackoffMs(z, 7), 0u);
-}
-
-TEST(ExperimentRunner, BudgetExhaustionCarriesTheForensicRecord)
-{
-    struct Transient : SimError
-    {
-        Transient() : SimError("transient stripe loss") {}
-        bool retryable() const override { return true; }
-    };
-
-    ExperimentRunner pool(1);
-    RetryPolicy policy;
-    policy.retries = 100;       // Attempts won't be the bound.
-    policy.backoffBaseMs = 4;
-    policy.backoffCapMs = 8;
-    policy.budgetMs = 10;       // The ladder trips this first.
-    policy.label = "storm/rd phase 2";
-
-    Future<unsigned> f = pool.deferRetry(
-        [](unsigned) -> unsigned { throw Transient(); }, policy);
-    try {
-        f.get();
-        FAIL() << "budget exhaustion did not throw";
-    } catch (const RetryBudgetExhaustedError &e) {
-        EXPECT_EQ(e.label(), policy.label);
-        EXPECT_GE(e.attempts(), 1u);
-        EXPECT_LE(e.sleptMs(), policy.budgetMs);
-        EXPECT_NE(std::string(e.lastError()).find("stripe loss"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find(policy.label),
-                  std::string::npos);
-    }
-}
-
 TEST(ExperimentRunner, RetriedPointShiftsOnlyTheFaultSeed)
 {
     // retries > 0 must not change attempt 0: a clean point returns
@@ -316,6 +250,98 @@ TEST(ExperimentRunner, RetriedPointShiftsOnlyTheFaultSeed)
     const RunMetrics withBudget =
         pool.submit(cfg, "mcf", kMisses, kSeed, /*retries=*/3).get();
     expectSameMetrics(plain, withBudget);
+}
+
+namespace {
+
+/** Payload-mode HD-only point that throws on an unrecoverable block
+ *  (the fault_sweep throw+retry shape, scaled down). */
+SystemConfig
+throwingPoint(double rate)
+{
+    SystemConfig cfg;
+    cfg.scheme = Scheme::Shadow;
+    cfg.shadow.mode = ShadowMode::HdOnly;
+    cfg.oram.dataBlocks = 1 << 12;
+    cfg.oram.posMapMode = PosMapMode::OnChip;
+    cfg.oram.payloadEnabled = true;
+    cfg.oram.stashCapacity = 200;
+    cfg.timingProtection = false;
+    cfg.oram.fault.rate = rate;
+    cfg.oram.fault.seed = 1;
+    cfg.oram.fault.onUnrecoverable = UnrecoverablePolicy::Throw;
+    return cfg;
+}
+
+/** Direct run of @p cfg as retry @p attempt sees it. */
+RunMetrics
+runAttempt(SystemConfig cfg, unsigned attempt, const SharedTrace &trace)
+{
+    cfg.oram.fault.seed += attempt;
+    return runSystem(cfg, *trace);
+}
+
+/** The CorruptionError @p run throws, or nothing if it completes. */
+template <typename Fn>
+std::optional<CorruptionError>
+corruptionOf(Fn run)
+{
+    try {
+        run();
+    } catch (const CorruptionError &e) {
+        return e;
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
+TEST(ExperimentRunner, RetryRerunsUnderTheNextFaultSeed)
+{
+    // Over mcf, 2000 misses, trace seed 7: at rate 1e-3 fault seed 1
+    // loses a block (access 795, bucket 1, level 1) and seed 2
+    // completes; at rate 2e-2 every fault seed 1..12 loses one (seed
+    // 4: access 110, bucket 847, level 9).
+    constexpr std::uint64_t kRetryMisses = 2000;
+    constexpr std::uint64_t kTraceSeed = 7;
+    const SharedTrace trace = cachedTrace("mcf", kRetryMisses, kTraceSeed);
+
+    for (unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ExperimentRunner pool(threads);
+
+        // Attempt 0 throws, attempt 1 completes: the result is the
+        // run at fault.seed + 1, field for field.
+        const SystemConfig heals = throwingPoint(1e-3);
+        EXPECT_THROW(runAttempt(heals, 0, trace), CorruptionError);
+        const RunMetrics healed =
+            pool.submit(heals, "mcf", kRetryMisses, kTraceSeed,
+                        /*retries=*/3)
+                .get();
+        expectSameMetrics(runAttempt(heals, 1, trace), healed);
+        EXPECT_EQ(healed.faultsDetected, 1u);
+        EXPECT_EQ(healed.faultsRecovered, 1u);
+
+        // Every attempt throws: the future rethrows the error of the
+        // last attempt, the run at fault.seed + retries.
+        constexpr unsigned kRetries = 3;
+        const SystemConfig lost = throwingPoint(2e-2);
+        const auto want = corruptionOf(
+            [&] { runAttempt(lost, kRetries, trace); });
+        ASSERT_TRUE(want.has_value());
+        EXPECT_EQ(want->accessCount(), 110u);
+        EXPECT_EQ(want->bucket(), 847u);
+        EXPECT_EQ(want->level(), 9u);
+
+        const auto got = corruptionOf([&] {
+            pool.submit(lost, "mcf", kRetryMisses, kTraceSeed, kRetries)
+                .get();
+        });
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->accessCount(), want->accessCount());
+        EXPECT_EQ(got->bucket(), want->bucket());
+        EXPECT_EQ(got->level(), want->level());
+    }
 }
 
 TEST(ExperimentRunner, DefaultThreadsRespectsEnvironment)

@@ -18,7 +18,9 @@
 # into hash-map nodes, so a missed unlink before an erase is a
 # use-after-free that only a sanitizer reliably catches.  The log2
 # histogram loader reads snapshot bytes too, and the exact latency
-# samples travel across kill-and-resume in the service snapshot.
+# samples travel across kill-and-resume in the service snapshot.  The
+# experiment runner hands each result through a shared promise that
+# the task and its future co-own, on the inline and the pooled path.
 set -eu
 
 SRC_DIR=${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}
@@ -49,10 +51,12 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
 # path (pooled buffers, batched keystream scratch, raw CipherRef
 # pointer arithmetic) end to end for Tiny, RD-only and HD-only —
 # exactly the code where an off-by-one lane index would otherwise
-# scribble silently.  Short traces keep the sanitized run fast.
+# scribble silently.  Short traces keep the sanitized run fast.  The
+# runner suite adds the promise lifetime (inline and pooled), thrown
+# tasks and immediate retries.
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_sim" \
-    --gtest_filter=System.DeterministicAcrossRuns
+    --gtest_filter='System.DeterministicAcrossRuns:ExperimentRunner.*'
 
 # The chaos harness exercises the whole recovery ladder — corruption
 # of live ciphertext, scrub-and-heal rewrites, snapshot restore into
@@ -73,7 +77,8 @@ tooling gate       ctest name      what it covers
 -----------------  --------------  --------------------------------
 ASan/UBSan         sanitize_smoke  fault + checkpoint + stash list +
                                    histogram loader + latency-sample
-                                   resume memory safety
+                                   resume + runner promise/retry
+                                   memory safety
 ThreadSanitizer    tsan_smoke      runner pool / future handoff races
 sblint             sblint_smoke    determinism/obliviousness/serde
                                    contracts (zero unsuppressed)

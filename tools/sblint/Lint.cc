@@ -65,7 +65,7 @@ const std::vector<RuleInfo> kRegistry = {
      "the owning-thread seam: no by-reference captures in worker "
      "tasks; g_* state in src/sim needs a lock_guard in scope"},
     {Rule::UntrackedMetric, "untracked-metric",
-     "MetricRegistry counter/gauge/histogram/histogramLog2 or a "
+     "MetricRegistry counter/gauge/histogramLog2 or a "
      "timeline stage() registered under a name that is not a "
      "kMetric*/kStage* constant from src/obs/MetricNames.hh — ad-hoc "
      "names fragment the time-series and stage schema; declare the "
@@ -818,7 +818,7 @@ scanUntrackedMetric(const std::string &path, const std::vector<Tok> &t,
         return;
 
     static const std::set<std::string> kRegistrars = {
-        "counter", "gauge", "histogram", "histogramLog2", "stage"};
+        "counter", "gauge", "histogramLog2", "stage"};
     for (std::size_t i = 1; i + 2 < t.size(); ++i) {
         if (!kRegistrars.count(t[i].text))
             continue;

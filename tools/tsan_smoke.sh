@@ -9,8 +9,8 @@
 # The build directory defaults to <source-dir>/build-tsan.
 #
 # The ExperimentRunner is the one genuinely threaded subsystem: worker
-# pool, future handoff, retry rescheduling, the process-wide trace
-# cache, and checkpoint side effects all cross threads.  TSan vets the
+# pool, future handoff, the process-wide trace cache, and checkpoint
+# side effects all cross threads.  TSan vets the
 # happens-before edges the determinism argument leans on (results only
 # flow through futures; g_* state only mutates under its mutex).
 #
