@@ -48,7 +48,10 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "-h" || arg == "--help") {
-            kv["help"] = "1";
+            // Constructed in place: GCC 12 reports a spurious
+            // -Wrestrict inside std::string's assignment from a
+            // literal here.
+            kv.emplace("help", "1");
             continue;
         }
         auto eq = arg.find('=');

@@ -2,6 +2,109 @@
 
 namespace sboram {
 
+Stash::Stash(unsigned capacity) : _capacity(capacity)
+{
+    // One slot past the capacity: insert() places the new entry
+    // before enforceCapacity() displaces a shadow to make room.
+    while (_slab.size() < std::size_t(capacity) + 1)
+        grow();
+}
+
+void
+Stash::grow()
+{
+    _slab.emplace_back();
+    StashEntry *slot = &_slab.back();
+    slot->next = _freeHead;
+    _freeHead = slot;
+    if (2 * _slab.size() <= _index.size())
+        return;
+    // Rehash at twice the size from the seq lists, which hold every
+    // entry; the slab is untouched.
+    ++_indexBits;
+    _index.assign(std::size_t(1) << _indexBits, IndexSlot{});
+    for (const SeqList *list : {&_reals, &_shadows}) {
+        for (StashEntry *e = list->head; e; e = e->next)
+            indexInsert(e);
+    }
+}
+
+void
+Stash::indexInsert(StashEntry *entry)
+{
+    const std::size_t mask = _index.size() - 1;
+    std::size_t i = indexHome(entry->addr, _indexBits);
+    while (_index[i].entry != nullptr)
+        i = (i + 1) & mask;
+    _index[i] = IndexSlot{entry->addr, entry};
+}
+
+void
+Stash::indexErase(Addr addr)
+{
+    const std::size_t mask = _index.size() - 1;
+    std::size_t hole = indexHome(addr, _indexBits);
+    while (_index[hole].addr != addr) {
+        SB_ASSERT(_index[hole].entry != nullptr,
+                  "unindexing absent addr %llu",
+                  static_cast<unsigned long long>(addr));
+        hole = (hole + 1) & mask;
+    }
+    // Backward shift: pull each later member of the probe run into
+    // the hole unless the hole lies before its home slot (it would
+    // then be unreachable from its home).
+    for (std::size_t j = (hole + 1) & mask; _index[j].entry != nullptr;
+         j = (j + 1) & mask) {
+        const std::size_t home = indexHome(_index[j].addr, _indexBits);
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            _index[hole] = _index[j];
+            hole = j;
+        }
+    }
+    _index[hole] = IndexSlot{};
+}
+
+void
+Stash::emplace(StashEntry &&entry)
+{
+    // Every slot taken means the reals overflowed the capacity (live,
+    // or in the snapshot being restored).
+    if (_freeHead == nullptr)
+        grow();
+    StashEntry *slot = _freeHead;
+    _freeHead = slot->next;
+    *slot = std::move(entry);
+    indexInsert(slot);
+    ++_size;
+    link(slot);
+}
+
+void
+Stash::erase(StashEntry *entry)
+{
+    indexErase(entry->addr);
+    unlink(entry);
+    recyclePayload(*entry);
+    --_size;
+    entry->next = _freeHead;
+    _freeHead = entry;
+}
+
+void
+Stash::reset()
+{
+    _freeHead = nullptr;
+    for (StashEntry &slot : _slab) {
+        slot = StashEntry{};
+        slot.next = _freeHead;
+        _freeHead = &slot;
+    }
+    _index.assign(_index.size(), IndexSlot{});
+    _size = 0;
+    _reals = _shadows = SeqList{};
+    _victimCursor = nullptr;
+}
+
 SB_HOT StashEntry *
 Stash::displacementVictim()
 {
@@ -31,7 +134,7 @@ Stash::displacementVictim()
     return victim;
 }
 
-void
+SB_HOT void
 Stash::enforceCapacity()
 {
     // The stash is a fixed-size CAM: shadow entries are replaceable
@@ -39,37 +142,32 @@ Stash::enforceCapacity()
     // structure fills up; real entries beyond the capacity are an
     // overflow (counted by trackOccupancy — functionally we keep them
     // so the simulation can proceed).
-    while (_entries.size() > _capacity) {
+    while (_size > _capacity) {
         StashEntry *victim = displacementVictim();
         if (victim == nullptr)
             break;  // Only real entries left; overflow accounting.
-        unlink(victim);
-        recyclePayload(*victim);
-        _entries.erase(victim->addr);
+        erase(victim);
     }
 }
 
-bool
+SB_HOT bool
 Stash::insert(StashEntry entry)
 {
     SB_ASSERT(entry.type != BlockType::Dummy,
               "dummy blocks are discarded, not stashed");
     entry.seq = _nextSeq++;
 
-    auto it = _entries.find(entry.addr);
-    if (it == _entries.end()) {
+    StashEntry *found = lookup(entry.addr);
+    if (found == nullptr) {
         if (entry.type == BlockType::Real)
             ++_realCount;
-        const Addr addr = entry.addr;
-        auto [pos, inserted] = _entries.emplace(addr, std::move(entry));
-        (void)inserted;
-        link(&pos->second);
+        emplace(std::move(entry));
         enforceCapacity();
         trackOccupancy();
         return true;
     }
 
-    StashEntry &existing = it->second;
+    StashEntry &existing = *found;
     if (entry.type == BlockType::Shadow) {
         // Merge: a real copy wins; duplicate shadows collapse.
         if (existing.type == BlockType::Real) {
@@ -107,39 +205,32 @@ Stash::insert(StashEntry entry)
 const StashEntry *
 Stash::find(Addr addr) const
 {
-    auto it = _entries.find(addr);
-    return it == _entries.end() ? nullptr : &it->second;
+    return lookup(addr);
 }
 
 StashEntry *
 Stash::find(Addr addr)
 {
-    auto it = _entries.find(addr);
-    return it == _entries.end() ? nullptr : &it->second;
+    return lookup(addr);
 }
 
-void
+SB_HOT void
 Stash::remove(Addr addr)
 {
-    auto it = _entries.find(addr);
-    SB_ASSERT(it != _entries.end(), "removing absent addr %llu",
+    StashEntry *entry = lookup(addr);
+    SB_ASSERT(entry != nullptr, "removing absent addr %llu",
               static_cast<unsigned long long>(addr));
-    if (it->second.type == BlockType::Real)
+    if (entry->type == BlockType::Real)
         --_realCount;
-    unlink(&it->second);
-    recyclePayload(it->second);
-    _entries.erase(it);
+    erase(entry);
 }
 
-void
+SB_HOT void
 Stash::dropShadowOf(Addr addr)
 {
-    auto it = _entries.find(addr);
-    if (it != _entries.end() && it->second.type == BlockType::Shadow) {
-        unlink(&it->second);
-        recyclePayload(it->second);
-        _entries.erase(it);
-    }
+    StashEntry *entry = lookup(addr);
+    if (entry != nullptr && entry->type == BlockType::Shadow)
+        erase(entry);
 }
 
 void
@@ -161,14 +252,14 @@ Stash::serde(Self &self, Ar &ar)
     ar.u64(self._stats.overflowEvents);
     ar.u64(self._stats.mergesRealWins);
     ar.u64(self._stats.mergesShadowDup);
-    // Entries travel in seq order, not map order: the hash map's
-    // iteration order is an implementation detail that varies across
-    // processes, and a snapshot must be byte-identical for identical
-    // stash contents (generation diffing, resume bit-equality tests).
+    // Entries travel in seq order, not slab order: which slot an
+    // entry occupies depends on the free-list history, and a snapshot
+    // must be byte-identical for identical stash contents (generation
+    // diffing, resume bit-equality tests).
     if constexpr (!Ar::kLoading) {
         // The bytes ar.seq writes: the count, then the two class
         // lists merged by seq.
-        ar.u64(self._entries.size());
+        ar.u64(self._size);
         const StashEntry *r = self._reals.head;
         const StashEntry *s = self._shadows.head;
         while (r || s) {
@@ -179,18 +270,15 @@ Stash::serde(Self &self, Ar &ar)
     } else {
         // ar.seq bounds-checks the count against the bytes left.  The
         // lists are derived: rebuilt in seq order, never serialized.
-        // The victim cursor restarts at the shadow head.
+        // The victim cursor restarts at the shadow head.  A snapshot
+        // taken after a real overflow may need more slots than the
+        // capacity; emplace grows the slab for those.
         std::vector<StashEntry> ordered;
         ar.seq(ordered, [&](StashEntry &e) { StashEntry::serde(e, ar); });
-        self._entries.clear();
-        self._reals = self._shadows = SeqList{};
-        self._victimCursor = nullptr;
+        self.reset();
         for (StashEntry &e : ordered) {
-            const Addr addr = e.addr;
-            auto [pos, inserted] =
-                self._entries.emplace(addr, std::move(e));
-            if (inserted)
-                self.link(&pos->second);
+            if (self.lookup(e.addr) == nullptr)
+                self.emplace(std::move(e));
         }
     }
 }

@@ -10,6 +10,12 @@
  * is what preserves the baseline stash-overflow probability (paper
  * Rule-3 and Section IV-B2).
  *
+ * Like the CAM, the storage is fixed: a slab of capacity + 1 entry
+ * slots (an insert lands before the displacement it may trigger) and
+ * an open-addressed address index sized at construction.  The slab
+ * grows only when real entries overflow the capacity, which is
+ * counted as an overflow event; the healthy path never allocates.
+ *
  * The merge operation of Section IV-A is enforced structurally: the
  * stash holds at most one entry per address, a real entry always wins
  * over a shadow entry, and multiple shadows collapse into one.
@@ -18,9 +24,8 @@
 #ifndef SBORAM_ORAM_STASH_HH
 #define SBORAM_ORAM_STASH_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -77,23 +82,27 @@ struct StashStats
 class Stash
 {
   public:
-    explicit Stash(unsigned capacity) : _capacity(capacity) {}
+    explicit Stash(unsigned capacity);
+
+    /** The seq lists and the index hold pointers into the slab. */
+    Stash(const Stash &) = delete;
+    Stash &operator=(const Stash &) = delete;
 
     /**
      * Insert a block, applying the merge rules.  Returns false when
      * the incoming block was discarded by a merge.
      */
-    bool insert(StashEntry entry);
+    SB_HOT bool insert(StashEntry entry);
 
     /** Find the entry (real or shadow) for an address, or nullptr. */
     const StashEntry *find(Addr addr) const;
     StashEntry *find(Addr addr);
 
     /** Remove the entry for an address (after eviction placement). */
-    void remove(Addr addr);
+    SB_HOT void remove(Addr addr);
 
     /** Discard any shadow entry for this address (merge case 1). */
-    void dropShadowOf(Addr addr);
+    SB_HOT void dropShadowOf(Addr addr);
 
     /** Number of real (capacity-counting) entries. */
     std::uint64_t realCount() const { return _realCount; }
@@ -101,11 +110,30 @@ class Stash
     std::uint64_t
     shadowCount() const
     {
-        return _entries.size() - _realCount;
+        return _size - _realCount;
     }
 
-    std::uint64_t size() const { return _entries.size(); }
+    std::uint64_t size() const { return _size; }
     unsigned capacity() const { return _capacity; }
+
+    /**
+     * Entry slots the slab holds, used or free: capacity + 1 unless
+     * real entries ever overflowed the capacity.  Exposed for tests
+     * that pin the healthy path allocation-free.
+     */
+    std::size_t slabSlots() const { return _slab.size(); }
+
+    /**
+     * Home slot of @p addr in an index of 2^@p bits slots
+     * (Fibonacci hashing; linear probing from there).  Exposed so
+     * tests can pick addresses that collide.
+     */
+    static std::size_t
+    indexHome(Addr addr, unsigned bits)
+    {
+        return static_cast<std::size_t>(
+            (addr * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+    }
 
     const StashStats &stats() const { return _stats; }
 
@@ -116,33 +144,20 @@ class Stash
      * then shadows, each in insertion order.  @p commonLevelFn maps a
      * block leaf to the common prefix length.
      *
-     * Reference implementation: one map rescan + sort per call.
+     * Reference implementation: one filtered list walk per call.
      * The eviction hot path uses planEvictionInto() instead, which
-     * walks the seq lists once per eviction; tests check the two
-     * agree.
+     * walks the seq lists once per eviction and marks placements
+     * consumed; tests check the two agree.
      */
     template <typename CommonLevelFn>
     std::vector<Addr>
     eligibleForLevel(unsigned level, CommonLevelFn &&commonLevelFn) const
     {
-        std::vector<const StashEntry *> picked;
-        // sblint:allow-next-line(unordered-iteration): membership filter only; order canonicalised by the (class, seq) sort below
-        for (const auto &kv : _entries) {
-            if (commonLevelFn(kv.second.leaf) >= level)
-                picked.push_back(&kv.second);
-        }
-        std::sort(picked.begin(), picked.end(),
-                  [](const StashEntry *a, const StashEntry *b) {
-                      const bool as = a->isShadow();
-                      const bool bs = b->isShadow();
-                      if (as != bs)
-                          return !as;  // reals first
-                      return a->seq < b->seq;
-                  });
         std::vector<Addr> addrs;
-        addrs.reserve(picked.size());
-        for (const StashEntry *e : picked)
-            addrs.push_back(e->addr);
+        forEach([&](const StashEntry &e) {
+            if (commonLevelFn(e.leaf) >= level)
+                addrs.push_back(e.addr);
+        });
         return addrs;
     }
 
@@ -223,7 +238,7 @@ class Stash
                      CommonLevelFn &&commonLevelFn) const
     {
         plan._order.clear();
-        plan._order.reserve(_entries.size());
+        plan._order.reserve(_size);
         forEach([&](const StashEntry &e) {
             plan._order.push_back(PlanEntry{
                 e.addr, commonLevelFn(e.leaf), e.isShadow(), false});
@@ -306,7 +321,36 @@ class Stash
     static void serde(Self &self, Ar &ar);
 
     void trackOccupancy();
-    void enforceCapacity();
+    SB_HOT void enforceCapacity();
+
+    /** The entry for @p addr, or nullptr: one linear probe run. */
+    StashEntry *
+    lookup(Addr addr) const
+    {
+        const std::size_t mask = _index.size() - 1;
+        for (std::size_t i = indexHome(addr, _indexBits);;
+             i = (i + 1) & mask) {
+            const IndexSlot &slot = _index[i];
+            if (slot.entry == nullptr || slot.addr == addr)
+                return slot.entry;
+        }
+    }
+
+    /** Move @p entry into a free slab slot, index and link it. */
+    void emplace(StashEntry &&entry);
+    /** Unindex, unlink and free the slab slot of @p entry. */
+    void erase(StashEntry *entry);
+    /** Index @p entry (its address must be absent). */
+    void indexInsert(StashEntry *entry);
+    /** Drop @p addr from the index, closing the probe run behind it
+     *  by backward shift (no tombstones). */
+    void indexErase(Addr addr);
+    /** Add one slab slot (at construction and on a real overflow
+     *  only), doubling the index when the slots would pass half of
+     *  it. */
+    void grow();
+    /** Every slab slot free and empty, the index cleared. */
+    void reset();
 
     /** Hand a dying entry's payload buffer back to the owner. */
     void
@@ -370,16 +414,35 @@ class Stash
         entry->prev = entry->next = nullptr;
     }
 
+    /** One index slot; entry == nullptr marks it empty. */
+    struct IndexSlot
+    {
+        Addr addr = kInvalidAddr;
+        StashEntry *entry = nullptr;
+    };
+
     unsigned _capacity;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _realCount = 0;
-    std::unordered_map<Addr, StashEntry> _entries;
+    std::uint64_t _size = 0;  ///< Entries in use.
+    /**
+     * Entry storage.  A deque never moves its elements when it grows
+     * at the back, so the pointers the lists, the index and the
+     * callers of find() hold stay valid.  Free slots are chained
+     * through StashEntry::next from _freeHead.
+     */
+    std::deque<StashEntry> _slab;
+    StashEntry *_freeHead = nullptr;
+    /** Address -> slab slot, linear probing, 2^_indexBits slots, at
+     *  most half full. */
+    std::vector<IndexSlot> _index;
+    unsigned _indexBits = 0;
     /**
      * Every entry in seq order, one intrusive list per class through
-     * the entries themselves (unordered_map nodes are
-     * pointer-stable).  The eviction plan, forEach(), the snapshot
-     * save, the path write's stash-shadow offers and the victim
-     * search walk these lists instead of the map.
+     * the slab slots themselves.  The eviction plan, forEach(), the
+     * snapshot save, the path write's stash-shadow offers and the
+     * victim search walk these lists; nothing whose order can reach
+     * an output walks the slab or the index.
      */
     SeqList _reals;
     SeqList _shadows;

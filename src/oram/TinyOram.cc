@@ -565,7 +565,6 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                 else
                     _payloadPool.release(std::move(e.payload));
             } else {
-                // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
                 _stash.insert(std::move(e));
             }
 
@@ -602,11 +601,12 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
     _tree.bucketsOnPath(leaf, _pathBuckets);
 
     // Payloads of duplication candidates (blocks placed in this path
-    // write and offered stash shadows), so shadow slots can be
-    // filled with real data in payload mode.  The buffers live in
-    // _placedBufs (capacity reused write after write); _placedIdx
-    // maps address -> dense buffer slot + 1 for the duration of this
-    // write (reset at the end via _placedAddrs).
+    // write, buffered eviction shadows, and the stash shadows pass 2
+    // actually chooses), so shadow slots can be filled with real data
+    // in payload mode.  The buffers live in _placedBufs (capacity
+    // reused write after write); _placedIdx maps address -> dense
+    // buffer slot + 1 for the duration of this write (reset at the
+    // end via _placedAddrs).
     SB_ASSERT(_pendingEnc.empty() && _placedAddrs.empty(),
               "path-write scratch not drained");
     auto placedBufIdx = [&](Addr addr) -> std::uint32_t {
@@ -630,6 +630,8 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
     // Shadow copies sitting in the stash are offered to the
     // duplication policy: Rule-1 bounds them by their label's common
     // prefix with this path, Rule-2 by their real copy's tree level.
+    // Their payloads stay in the stash until pass 2 chooses one (few
+    // are), and pass 1 never places a stash shadow.
     if (_cfg.recirculateShadows) {
         _stash.forEachShadow([&](const StashEntry &e) {
             const std::uint8_t realLvl = _realLevel[e.addr];
@@ -637,8 +639,6 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
                       "stash shadow coexists with a stash real copy");
             const unsigned maxLevel = std::min<unsigned>(
                 _tree.commonLevel(e.leaf, leaf), realLvl);
-            if (_cfg.payloadEnabled)
-                _placedBufs[placedBufIdx(e.addr)] = e.payload;
             _policy->offerStashShadow(e.addr, e.leaf, e.version,
                                       realLvl, maxLevel);
         });
@@ -731,7 +731,6 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             placed.wasShadow = entry->isShadow();
             _policy->onBlockPlaced(placed);
 
-            // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
             _stash.remove(cand.addr);
             cand.placed = true;
             ++slotCursor;
@@ -785,16 +784,21 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             slot.leaf = static_cast<std::uint32_t>(choice->leaf);
             slot.version = choice->version;
             ++_stats.shadowsWritten;
+            if (_cfg.payloadEnabled) {
+                // A candidate without a buffer yet is a stash shadow:
+                // copy its payload now, while the stash still has it.
+                if (_placedIdx[choice->addr] == 0) {
+                    const StashEntry *sh = _stash.find(choice->addr);
+                    SB_ASSERT(sh != nullptr,
+                              "shadow candidate has no payload");
+                    _placedBufs[placedBufIdx(choice->addr)] = sh->payload;
+                }
+                _pendingEnc.push_back(PendingEncrypt{
+                    slotIdx, _placedIdx[choice->addr] - 1});
+            }
             if (choice->releaseStashCopy)
-                // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
                 _stash.dropShadowOf(choice->addr);
             markBufferedPlaced(choice->addr);
-            if (_cfg.payloadEnabled) {
-                const std::uint32_t ref = _placedIdx[choice->addr];
-                SB_ASSERT(ref != 0,
-                          "shadow candidate has no payload");
-                _pendingEnc.push_back(PendingEncrypt{slotIdx, ref - 1});
-            }
         } else if (_cfg.payloadEnabled) {
             _tree.eraseCipher(slotIdx);
             _spare.erase(slotIdx);
@@ -866,7 +870,6 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
     for (std::size_t i = 0; i < _evictShadows.size(); ++i) {
         StashEntry &e = _evictShadows[i];
         if (!_evictShadowPlaced[i])
-            // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
             _stash.insert(std::move(e));
         else
             _payloadPool.release(std::move(e.payload));

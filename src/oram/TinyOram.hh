@@ -473,9 +473,7 @@ class TinyOram
      * by dense buffer slot; _placedIdx maps address -> slot+1 (0 =
      * absent) and is sized to the whole address space at
      * construction, with _placedAddrs recording which entries to
-     * reset afterwards.  Replaces a per-write
-     * unordered_map<Addr, vector> whose node churn was a measured
-     * hot-path allocation source.
+     * reset afterwards.
      */
     std::vector<std::uint32_t> _placedIdx;
     std::vector<Addr> _placedAddrs;

@@ -9,7 +9,8 @@
  * (hottest first).  When a dummy slot is encountered, the head of the
  * chosen queue that satisfies Rule-2 (candidate strictly deeper than
  * the slot) is popped and duplicated.  Both queues are cleared after
- * the path write completes.
+ * the path write completes.  The RD-queue is ordered by counting over
+ * the tree levels, the HD-queue by a comparison sort.
  */
 
 #ifndef SBORAM_SHADOW_DUPQUEUES_HH
@@ -50,7 +51,12 @@ struct DupCandidate
  *
  * A path write pushes every candidate before its first pop, so the
  * first popFor() sorts the candidates best-first and later pops walk
- * forward from a cursor.  Pass 2 of a path write offers dummy slots
+ * forward from a cursor.  The RD queue (ByLevelDesc) is counted: a
+ * counting pass over the levels scatters the candidates deepest
+ * level first, and an insertion pass by seq finishes each level,
+ * linear for the rising-seq pushes of a path write.  The HD queue
+ * (ByHotnessDesc) keeps a comparison sort, because hotness is an
+ * unbounded counter.  Pass 2 of a path write offers dummy slots
  * root side first, so the slot levels one queue sees never decrease;
  * a candidate that fails Rule-2 at one level fails at every later
  * one, and the cursor passes it for good.  A pop at a lower level
@@ -105,6 +111,9 @@ class DupQueue
     };
 
     bool better(const DupCandidate &a, const DupCandidate &b) const;
+    /** Sort _items best-first for ByLevelDesc: counting by level,
+     *  then an insertion pass by seq. */
+    SB_HOT void sortByLevel();
 
     /** Copies of @p it still queued. */
     std::uint32_t
@@ -117,6 +126,10 @@ class DupQueue
     /** Candidates, best-first once _sorted; storage reused across
      *  path writes. */
     std::vector<Item> _items;
+    /** sortByLevel() scratch, reused across path writes: the scatter
+     *  target and the per-level bucket cursors. */
+    std::vector<Item> _scratch;
+    std::vector<std::size_t> _bucketNext;
     bool _sorted = true;
     /** Every item before the cursor is used up or fails Rule-2 at
      *  _lastLevel (and so at any level at or above it). */

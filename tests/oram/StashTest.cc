@@ -489,3 +489,206 @@ TEST(Stash, VictimIndexMatchesFullScan)
         EXPECT_GT(displacements, 100u);
     }
 }
+
+namespace {
+
+/** What FlatIndexMatchesMapModel expects the stash to hold for one
+ *  address. */
+struct ModelEntry
+{
+    BlockType type = BlockType::Dummy;
+    std::uint64_t seq = 0;
+    std::uint64_t word = 0;  ///< The payload's one word.
+};
+
+/**
+ * Reference stash on a std::map: the merge rules, oldest-first
+ * displacement (no hotness oracle) and the occupancy counters.
+ */
+struct MapModel
+{
+    unsigned capacity;
+    std::map<Addr, ModelEntry> entries;
+    std::uint64_t nextSeq = 0;
+    std::uint64_t peakReal = 0;
+    std::uint64_t overflowEvents = 0;
+
+    std::uint64_t
+    realCount() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &kv : entries)
+            n += kv.second.type == BlockType::Real;
+        return n;
+    }
+
+    void
+    trackOccupancy()
+    {
+        const std::uint64_t reals = realCount();
+        peakReal = std::max(peakReal, reals);
+        if (reals > capacity)
+            ++overflowEvents;
+    }
+
+    void
+    insert(Addr addr, BlockType type, std::uint64_t word)
+    {
+        const std::uint64_t seq = nextSeq++;
+        auto it = entries.find(addr);
+        if (it != entries.end()) {
+            if (type == BlockType::Real) {
+                it->second = ModelEntry{type, seq, word};
+                trackOccupancy();
+            }
+            return;
+        }
+        entries[addr] = ModelEntry{type, seq, word};
+        while (entries.size() > capacity) {
+            auto victim = entries.end();
+            for (auto e = entries.begin(); e != entries.end(); ++e) {
+                if (e->second.type == BlockType::Shadow &&
+                    (victim == entries.end() ||
+                     e->second.seq < victim->second.seq))
+                    victim = e;
+            }
+            if (victim == entries.end())
+                break;
+            entries.erase(victim);
+        }
+        trackOccupancy();
+    }
+};
+
+/** Addresses whose index home (at @p bits) is @p home: the first
+ *  @p count found scanning up from @p from. */
+std::vector<Addr>
+addrsWithHome(std::size_t home, unsigned bits, std::size_t count,
+              Addr from)
+{
+    std::vector<Addr> out;
+    for (Addr a = from; out.size() < count; ++a) {
+        if (Stash::indexHome(a, bits) == home)
+            out.push_back(a);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Stash, FlatIndexMatchesMapModel)
+{
+    // The slab + open-addressed index against a std::map model under
+    // random insert (new, real-wins and shadow-dup merges), remove,
+    // dropShadowOf and find.  The address pool is built to collide in
+    // the index: two clusters share one home slot each, and a third
+    // sits at the last slot so its probe run wraps to slot 0, which
+    // exercises backward-shift delete across the wrap.  One phase
+    // pushes reals past the capacity so the slab and the index grow;
+    // a save/load mid-sequence must re-save to identical bytes and
+    // the restored stash must carry on matching the model.
+    constexpr unsigned kCapacity = 6;
+    // 2 * (capacity + 1) = 14 rounds up to a 16-slot index.
+    constexpr unsigned kBits = 4;
+    std::vector<Addr> pool;
+    for (std::size_t home : {std::size_t(3), std::size_t(9),
+                             std::size_t(15)}) {
+        for (Addr a : addrsWithHome(home, kBits, 6, 1))
+            pool.push_back(a);
+    }
+    for (Addr a = 1; pool.size() < 30; ++a) {
+        if (std::find(pool.begin(), pool.end(), a) == pool.end())
+            pool.push_back(a);
+    }
+
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        auto stash = std::make_unique<Stash>(kCapacity);
+        ASSERT_EQ(stash->slabSlots(), kCapacity + 1u);
+        MapModel model{kCapacity, {}, 0, 0, 0};
+        bool grew = false;
+        bool reloaded = false;
+
+        for (int step = 0; step < 4000; ++step) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                         std::to_string(step));
+            // Steps 1500..1999 favour reals and never remove, so the
+            // reals overflow the capacity.
+            const bool overflowPhase = step >= 1500 && step < 2000;
+            const Addr addr = pool[rng.below(pool.size())];
+            const std::uint64_t op = rng.below(100);
+            if (op < 55 || (overflowPhase && op < 90)) {
+                const StashEntry *cur = stash->find(addr);
+                BlockType type =
+                    rng.chance(overflowPhase ? 0.8 : 0.35)
+                        ? BlockType::Real
+                        : BlockType::Shadow;
+                if (cur && cur->type == BlockType::Real)
+                    type = BlockType::Shadow;  // Never two reals.
+                const std::uint64_t word = rng.next();
+                StashEntry e = entry(addr, type, /*version=*/addr % 5);
+                e.payload = {word};
+                stash->insert(std::move(e));
+                model.insert(addr, type, word);
+            } else if (op < 75 && !overflowPhase) {
+                if (stash->find(addr) != nullptr) {
+                    stash->remove(addr);
+                    model.entries.erase(addr);
+                }
+            } else if (op < 90) {
+                stash->dropShadowOf(addr);
+                auto it = model.entries.find(addr);
+                if (it != model.entries.end() &&
+                    it->second.type == BlockType::Shadow)
+                    model.entries.erase(it);
+            }
+            // Reload at fixed steps (1999 holds the overflowed
+            // stash, which must grow a fresh slab on load) and now
+            // and then at random.
+            if (step == 1000 || step == 1999 || step == 3000 ||
+                (op >= 90 && rng.below(10) == 0)) {
+                ckpt::Serializer out;
+                stash->saveState(out);
+                ckpt::Deserializer in(out.buffer().data(),
+                                      out.buffer().size());
+                stash = std::make_unique<Stash>(kCapacity);
+                stash->loadState(in);
+                ckpt::Serializer again;
+                stash->saveState(again);
+                EXPECT_EQ(again.buffer(), out.buffer());
+                reloaded = true;
+            }
+            grew = grew || stash->slabSlots() > kCapacity + 1u;
+
+            // Every pool address, present or not, finds what the
+            // model holds.
+            for (Addr a : pool) {
+                const StashEntry *got = stash->find(a);
+                auto want = model.entries.find(a);
+                ASSERT_EQ(got != nullptr, want != model.entries.end())
+                    << "addr " << a;
+                if (!got)
+                    continue;
+                EXPECT_EQ(got->addr, a);
+                EXPECT_EQ(got->type, want->second.type) << "addr " << a;
+                EXPECT_EQ(got->seq, want->second.seq) << "addr " << a;
+                ASSERT_EQ(got->payload.size(), 1u) << "addr " << a;
+                EXPECT_EQ(got->payload[0], want->second.word)
+                    << "addr " << a;
+            }
+            ASSERT_EQ(stash->size(), model.entries.size());
+            EXPECT_EQ(stash->realCount(), model.realCount());
+            EXPECT_EQ(stash->stats().peakReal, model.peakReal);
+            EXPECT_EQ(stash->stats().overflowEvents,
+                      model.overflowEvents);
+            // Outside an overflow the slab stays at capacity + 1.
+            if (stash->stats().overflowEvents == 0) {
+                EXPECT_EQ(stash->slabSlots(), kCapacity + 1u);
+            }
+            if (HasFailure())
+                return;
+        }
+        EXPECT_TRUE(grew) << "the overflow phase never grew the slab";
+        EXPECT_TRUE(reloaded);
+    }
+}

@@ -13,6 +13,9 @@
  *    controller's OramStats/StashStats hash to fixed digests (taken
  *    from the full-scan implementation), so an indexing change that
  *    alters any choice fails here.
+ *  - storage: the stash slab never grows past its capacity + 1
+ *    slots, so no stash insert or displacement on this trace
+ *    allocates (the slab only grows on a real overflow).
  *
  * Both are exact counts, independent of the machine and its load.
  */
@@ -33,6 +36,7 @@ namespace {
 
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kMisses = 6000;
+constexpr unsigned kStashCapacity = 200;
 constexpr double kMaxHotnessPerAccess = 250.0;
 
 std::uint64_t
@@ -118,6 +122,7 @@ struct GateResult
     std::uint64_t selects = 0;
     std::uint64_t selectDigest = 0;
     std::uint64_t statsDigest = 0;
+    std::size_t slabSlots = 0;
 };
 
 GateResult
@@ -126,7 +131,7 @@ runGate(ShadowMode mode)
     OramConfig cfg;
     cfg.dataBlocks = std::uint64_t(1) << 14;
     cfg.posMapMode = PosMapMode::OnChip;
-    cfg.stashCapacity = 200;
+    cfg.stashCapacity = kStashCapacity;
     cfg.seed = 7;
     ShadowConfig scfg;
     scfg.mode = mode;
@@ -163,6 +168,7 @@ runGate(ShadowMode mode)
     r.selects = probe->selects;
     r.selectDigest = probe->selectDigest;
     r.statsDigest = statsDigest;
+    r.slabSlots = oram.stash().slabSlots();
     return r;
 }
 
@@ -171,14 +177,15 @@ report(const char *name, const GateResult &r)
 {
     std::printf("%s: accesses=%llu hotnessOf=%llu (%.1f/access) "
                 "selects=%llu selectDigest=%016llx "
-                "statsDigest=%016llx\n",
+                "statsDigest=%016llx slabSlots=%zu\n",
                 name, static_cast<unsigned long long>(r.accesses),
                 static_cast<unsigned long long>(r.hotnessCalls),
                 static_cast<double>(r.hotnessCalls) /
                     static_cast<double>(r.accesses),
                 static_cast<unsigned long long>(r.selects),
                 static_cast<unsigned long long>(r.selectDigest),
-                static_cast<unsigned long long>(r.statsDigest));
+                static_cast<unsigned long long>(r.statsDigest),
+                r.slabSlots);
 }
 
 } // namespace
@@ -194,6 +201,7 @@ TEST(ShadowWorkGate, RdOnly)
     EXPECT_EQ(r.selects, 42368u);
     EXPECT_EQ(r.selectDigest, 0xae23b17cbb4f8599ULL);
     EXPECT_EQ(r.statsDigest, 0xb91c1b7ebc658e00ULL);
+    EXPECT_EQ(r.slabSlots, kStashCapacity + 1u);
 }
 
 TEST(ShadowWorkGate, HdOnly)
@@ -207,4 +215,5 @@ TEST(ShadowWorkGate, HdOnly)
     EXPECT_EQ(r.selects, 40001u);
     EXPECT_EQ(r.selectDigest, 0xb38d2c6207011436ULL);
     EXPECT_EQ(r.statsDigest, 0xfce34337a4b64420ULL);
+    EXPECT_EQ(r.slabSlots, kStashCapacity + 1u);
 }

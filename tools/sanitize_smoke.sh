@@ -1,6 +1,6 @@
 #!/bin/sh
-# Build the fault, checkpoint, stash and histogram tests under
-# ASan/UBSan in a nested build tree and run them.  Registered as the
+# Build the fault, checkpoint, stash, dup-queue and histogram tests
+# under ASan/UBSan in a nested build tree and run them.  Registered as the
 # `sanitize_smoke` ctest (tests/), which builds under its own build
 # tree; also usable standalone:
 #
@@ -14,13 +14,17 @@
 # tree.  The checkpoint subsystem joins it: snapshot parsing walks
 # attacker-shaped bytes (truncated, bit-flipped, hostile lengths)
 # where an out-of-bounds read is exactly the bug class ASan catches.
-# The stash keeps its entries on intrusive seq lists of raw pointers
-# into hash-map nodes, so a missed unlink before an erase is a
-# use-after-free that only a sanitizer reliably catches.  The log2
-# histogram loader reads snapshot bytes too, and the exact latency
-# samples travel across kill-and-resume in the service snapshot.  The
-# experiment runner hands each result through a shared promise that
-# the task and its future co-own, on the inline and the pooled path.
+# The stash keeps its entries in a slab with an open-addressed index
+# and intrusive seq lists of raw pointers into the slab, so a missed
+# unlink before a slot is freed, or a probe past the index, is a
+# use-after-free or overflow that only a sanitizer reliably catches.
+# The RD dup queue's counting sort scatters through a scratch array
+# by per-level cursors, where an off-by-one writes out of bounds.
+# The log2 histogram loader reads snapshot bytes too, and the exact
+# latency samples travel across kill-and-resume in the service
+# snapshot.  The experiment runner hands each result through a shared
+# promise that the task and its future co-own, on the inline and the
+# pooled path.
 set -eu
 
 SRC_DIR=${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}
@@ -30,7 +34,7 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
     -DSB_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" \
-    --target test_fault test_ckpt test_oram test_sim test_obs \
+    --target test_fault test_ckpt test_oram test_shadow test_sim test_obs \
     chaos_storm \
     -j >/dev/null
 
@@ -41,6 +45,8 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_ckpt"
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_oram" --gtest_filter='Stash.*'
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+    "$BUILD_DIR/tests/test_shadow" --gtest_filter='DupQueue.*'
 
 # The histogram loader on snapshot bytes (kind-tag rejection) and the
 # service's latency samples across kill-and-resume.
@@ -75,7 +81,8 @@ cat <<'EOF'
 
 tooling gate       ctest name      what it covers
 -----------------  --------------  --------------------------------
-ASan/UBSan         sanitize_smoke  fault + checkpoint + stash list +
+ASan/UBSan         sanitize_smoke  fault + checkpoint + stash slab,
+                                   index and lists + dup-queue sort +
                                    histogram loader + latency-sample
                                    resume + runner promise/retry
                                    memory safety
