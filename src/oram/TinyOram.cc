@@ -69,7 +69,7 @@ TinyOram::setObserver(obs::RunObserver *obs)
     }
     _faults->setObserver([this](FaultKind, std::uint64_t,
                                 bool reapplied) {
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
+        if (obs::TraceSession *t = trace())
             t->instant(_obsPathTrack,
                        reapplied ? "fault_stuck_reapplied"
                                  : "fault_injected",
@@ -77,12 +77,12 @@ TinyOram::setObserver(obs::RunObserver *obs)
     });
 }
 
-std::vector<std::uint64_t>
-TinyOram::patternPayload(Addr addr, std::uint32_t version) const
+SB_HOT obs::TraceSession *
+TinyOram::trace() const
 {
-    std::vector<std::uint64_t> words;
-    patternPayloadInto(addr, version, words);
-    return words;
+    if (_obs == nullptr)
+        return nullptr;
+    return _obs->trace();
 }
 
 void
@@ -140,7 +140,7 @@ TinyOram::initializeTree()
             e.version = 0;
             e.type = BlockType::Real;
             if (_cfg.payloadEnabled)
-                e.payload = patternPayload(addr, 0);
+                patternPayloadInto(addr, 0, e.payload);
             _stash.insert(std::move(e));
             _realLevel[addr] = kInStash;
         }
@@ -267,17 +267,18 @@ TinyOram::recoverRealPayload(const Slot &slot, unsigned level,
 
     // 2. Shadows vacuumed into the eviction path buffer (already
     //    decrypted and verified when they entered it).
-    for (const StashEntry &buf : _evictShadows) {
-        if (buf.addr == slot.addr && buf.version == slot.version) {
-            out = buf.payload;
-            return true;
-        }
+    if (const std::size_t i = evictShadowIndex(slot.addr);
+        i < _evictShadows.size() &&
+        _evictShadows[i].version == slot.version) {
+        out = _evictShadows[i].payload;
+        return true;
     }
 
-    // 3. A shallower tree slot on this path: Rule-2 keeps every tree
-    //    shadow strictly above its real copy, and Rule-1 keeps it on
-    //    the block's own path, whose buckets above `level` coincide
-    //    with this path's.
+    // 3. A tree slot above `level` on the path to `leaf`: Rule-2
+    //    keeps every tree shadow strictly above its real copy, and
+    //    Rule-1 keeps it on the block's own path.  A path read passes
+    //    the accessed path, whose buckets above `level` coincide with
+    //    the block's; the scrub passes the block's own label.
     for (unsigned lvl = 0; lvl < level; ++lvl) {
         const BucketIndex b = _tree.bucketOnPath(leaf, lvl);
         for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s) {
@@ -336,6 +337,94 @@ TinyOram::handleUnrecoverable(const Slot &slot, BucketIndex bucket,
              slot.addr);
 }
 
+SB_HOT void
+TinyOram::countFault(std::uint64_t slotIdx, Cycles at,
+                     obs::TraceSession *t, bool recovered)
+{
+    ++_stats.faultsDetected;
+    if (t)
+        t->instant(_obsPathTrack, "fault_detected", at);
+    // Tier-1 bookkeeping: repeated detected failures of one physical
+    // slot quarantine it.
+    if (_health.recordSlotFailure(slotIdx)) {
+        ++_stats.slotsQuarantined;
+        if (_flight != nullptr)
+            _flight->record(at, obs::FlightKind::SlotQuarantine,
+                            slotIdx);
+        if (t)
+            t->instant(_obsPathTrack, "slot_quarantined", at);
+    }
+    if (recovered)
+        ++_stats.faultsRecovered;
+    else
+        ++_stats.faultsUnrecoverable;
+    if (t)
+        t->instant(_obsPathTrack,
+                   recovered ? "fault_recovered" : "fault_unrecoverable",
+                   at);
+}
+
+SB_HOT void
+TinyOram::reclaimCorruptShadow(Slot &slot, std::uint64_t slotIdx,
+                               Cycles at, obs::TraceSession *t)
+{
+    countFault(slotIdx, at, t, true);
+    slot.clear();
+    _tree.eraseCipher(slotIdx);
+}
+
+SB_HOT bool
+TinyOram::healTagFailure(Slot &slot, std::uint64_t slotIdx,
+                         BucketIndex bucket, unsigned level,
+                         LeafLabel leaf, Cycles at,
+                         std::vector<std::uint64_t> &payload)
+{
+    obs::TraceSession *t = trace();
+    if (slot.isShadow()) {
+        _payloadPool.release(std::move(payload));
+        reclaimCorruptShadow(slot, slotIdx, at, t);
+        return false;
+    }
+    const bool healed = recoverRealPayload(slot, level, leaf, payload);
+    countFault(slotIdx, at, t, healed);
+    if (!healed) {
+        // sblint:allow-next-line(hot-path-alloc): unrecoverable-fault exit — formats the fatal diagnostic once, then the ladder unwinds; never on a healthy access
+        handleUnrecoverable(slot, bucket, level, payload);
+    }
+    return true;
+}
+
+SB_HOT bool
+TinyOram::parkIfQuarantined(std::uint64_t slotIdx,
+                            const std::uint64_t *plain)
+{
+    if (!_health.quarantineActive() || !_health.isQuarantined(slotIdx))
+        return false;
+    _spare[slotIdx].assign(plain, plain + _cfg.blockBytes / 8);
+    _tree.eraseCipher(slotIdx);
+    ++_stats.quarantineEvacuations;
+    return true;
+}
+
+SB_HOT bool
+TinyOram::reapplyStuckCell(std::uint64_t slotIdx)
+{
+    if (!_faults ||
+        !_faults->onSlotRewritten(slotIdx, _tree.cipherRef(slotIdx)))
+        return false;
+    ++_stats.faultsInjected;
+    return true;
+}
+
+SB_HOT std::size_t
+TinyOram::evictShadowIndex(Addr addr) const
+{
+    std::size_t i = 0;
+    while (i < _evictShadows.size() && _evictShadows[i].addr != addr)
+        ++i;
+    return i;
+}
+
 SB_HOT TinyOram::PathReadOutcome
 TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                    Cycles startTime)
@@ -367,7 +456,7 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                           startTime + _cfg.onChipLatency) +
                  _cfg.aesLatency;
 
-    if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr) {
+    if (obs::TraceSession *t = trace()) {
         t->complete(_obsPathTrack,
                     mode == ReadMode::Evict ? "evict_path_read"
                                             : "path_read",
@@ -467,14 +556,6 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
             if (_cfg.payloadEnabled) {
                 // A pooled buffer instead of one allocation per block.
                 e.payload = _payloadPool.acquire(words);
-                // Integrity verification (Tiny ORAM baseline [18]).
-                // A failed tag on a *shadow* copy is harmless — the
-                // real copy is authoritative — so the slot is simply
-                // dropped.  A failed tag on a *real* copy triggers
-                // self-healing: rebuild the payload from a
-                // same-version shadow copy (the duplication the
-                // policies maintain for latency doubles as
-                // redundancy) before declaring the block lost.
                 // Tier-1 spare store: a remapped cell's authoritative
                 // copy lives on chip — the bad ciphertext stripe is
                 // never read, so it can neither fault nor need
@@ -500,67 +581,15 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                     if (consume)
                         _spare.erase(sp);
                 }
-                if (!authentic) {
-                    ++_stats.faultsDetected;
-                    if (obs::TraceSession *t =
-                            _obs ? _obs->trace() : nullptr)
-                        t->instant(_obsPathTrack, "fault_detected",
-                                   ready);
-                    // Tier-1 bookkeeping: repeated detected failures
-                    // of one physical slot quarantine it.
-                    if (_health.recordSlotFailure(slotIdx)) {
-                        ++_stats.slotsQuarantined;
-                        if (_flight != nullptr)
-                            _flight->record(
-                                ready,
-                                obs::FlightKind::SlotQuarantine,
-                                slotIdx);
-                        if (obs::TraceSession *t2 =
-                                _obs ? _obs->trace() : nullptr)
-                            t2->instant(_obsPathTrack,
-                                        "slot_quarantined", ready);
-                    }
-                    if (slot.isShadow()) {
-                        ++_stats.faultsRecovered;
-                        if (obs::TraceSession *t =
-                                _obs ? _obs->trace() : nullptr)
-                            t->instant(_obsPathTrack,
-                                       "fault_recovered", ready);
-                        _payloadPool.release(std::move(e.payload));
-                        slot.clear();
-                        _tree.eraseCipher(slotIdx);
-                        continue;
-                    }
-                    if (recoverRealPayload(slot, level, leaf,
-                                           e.payload)) {
-                        ++_stats.faultsRecovered;
-                        if (obs::TraceSession *t =
-                                _obs ? _obs->trace() : nullptr)
-                            t->instant(_obsPathTrack,
-                                       "fault_recovered", ready);
-                    } else {
-                        ++_stats.faultsUnrecoverable;
-                        if (obs::TraceSession *t =
-                                _obs ? _obs->trace() : nullptr)
-                            t->instant(_obsPathTrack,
-                                       "fault_unrecoverable", ready);
-                        // sblint:allow-next-line(hot-path-alloc): unrecoverable-fault exit — formats the fatal diagnostic once, then the ladder unwinds; never on a healthy access
-                        handleUnrecoverable(slot, b, level,
-                                            e.payload);
-                    }
-                }
+                if (!authentic &&
+                    !healTagFailure(slot, slotIdx, b, level, leaf, ready,
+                                    e.payload))
+                    continue;  // A corrupt shadow copy was dropped.
             }
             if (mode == ReadMode::Evict && e.isShadow()) {
                 // Keep eviction-path shadows in the path buffer for
                 // the imminent path write (deduplicated by address).
-                bool seen = false;
-                for (const StashEntry &buf : _evictShadows) {
-                    if (buf.addr == e.addr) {
-                        seen = true;
-                        break;
-                    }
-                }
-                if (!seen)
+                if (evictShadowIndex(e.addr) == _evictShadows.size())
                     _evictShadows.push_back(std::move(e));
                 else
                     _payloadPool.release(std::move(e.payload));
@@ -599,74 +628,93 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
     _policy->beginPathWrite(leaf);
 
     _tree.bucketsOnPath(leaf, _pathBuckets);
-
-    // Payloads of duplication candidates (blocks placed in this path
-    // write, buffered eviction shadows, and the stash shadows pass 2
-    // actually chooses), so shadow slots can be filled with real data
-    // in payload mode.  The buffers live in _placedBufs (capacity
-    // reused write after write); _placedIdx maps address -> dense
-    // buffer slot + 1 for the duration of this write (reset at the
-    // end via _placedAddrs).
     SB_ASSERT(_pendingEnc.empty() && _placedAddrs.empty(),
               "path-write scratch not drained");
-    auto placedBufIdx = [&](Addr addr) -> std::uint32_t {
-        std::uint32_t &ref = _placedIdx[addr];
-        if (ref == 0) {
-            const std::size_t idx = _placedAddrs.size();
-            // Grow the cache against its own high-water counter, not
-            // _placedBufs.size(): the buffers hold payload words, and
-            // occupancy is placement bookkeeping that must stay
-            // independent of them.
-            if (_placedBufsMade <= idx) {
-                _placedBufs.emplace_back();
-                ++_placedBufsMade;
-            }
-            _placedAddrs.push_back(addr);
-            ref = static_cast<std::uint32_t>(idx) + 1;
-        }
-        return ref - 1;
-    };
+    if (_cfg.recirculateShadows)
+        offerShadows(leaf);
+    placeGreedy(leaf);
+    fillDummies();
+    flushWrite();
 
-    // Shadow copies sitting in the stash are offered to the
-    // duplication policy: Rule-1 bounds them by their label's common
-    // prefix with this path, Rule-2 by their real copy's tree level.
-    // Their payloads stay in the stash until pass 2 chooses one (few
-    // are), and pass 1 never places a stash shadow.
-    if (_cfg.recirculateShadows) {
-        _stash.forEachShadow([&](const StashEntry &e) {
-            const std::uint8_t realLvl = _realLevel[e.addr];
-            SB_ASSERT(realLvl != kInStash,
-                      "stash shadow coexists with a stash real copy");
-            const unsigned maxLevel = std::min<unsigned>(
-                _tree.commonLevel(e.leaf, leaf), realLvl);
-            _policy->offerStashShadow(e.addr, e.leaf, e.version,
-                                      realLvl, maxLevel);
-        });
+    _policy->endPathWrite();
 
-        // Shadows vacuumed by this eviction's path read circulate
-        // the same way.  If the real copy came off this same path
-        // into the stash, its final location is only known after the
-        // greedy placements, so the offer uses the label bound and
-        // the write pass re-checks Rule-2 before committing a slot.
-        for (const StashEntry &e : _evictShadows) {
-            const std::uint8_t realLvl = _realLevel[e.addr];
-            const bool realInStash = realLvl == kInStash;
-            const unsigned rearLevel =
-                realInStash ? _geo.leafLevel : realLvl;
-            const unsigned maxLevel = std::min<unsigned>(
-                _tree.commonLevel(e.leaf, leaf),
-                realInStash ? _geo.leafLevel + 1 : realLvl);
-            if (_cfg.payloadEnabled)
-                _placedBufs[placedBufIdx(e.addr)] = e.payload;
-            _policy->offerStashShadow(e.addr, e.leaf, e.version,
-                                      rearLevel, maxLevel);
-        }
+    // DRAM writes for the off-chip levels, leaf to root order.
+    const Cycles dramDone =
+        schedulePath(_dram, leaf, startTime + _cfg.aesLatency, true,
+                     _dram.timing().tBURST, nullptr);
+    const Cycles done =
+        std::max(dramDone, startTime + _cfg.onChipLatency);
+    if (obs::TraceSession *t = trace()) {
+        // The modelled crypto phase: the whole path is re-encrypted
+        // (one batch keystream pass) before the burst leaves the chip.
+        t->complete(obs::kTrackEviction, "crypto", startTime,
+                    _cfg.aesLatency);
+        t->complete(obs::kTrackEviction, "path_write", startTime,
+                    done - startTime);
     }
+    return done;
+}
 
-    // Pass 1 — plan and perform the greedy placements, leaf to root
-    // (deepest-possible placement), collecting the dummy slots.
-    std::vector<DummySlot> &dummies = _dummyScratch;
-    dummies.clear();
+SB_HOT std::uint32_t
+TinyOram::placedBufIdx(Addr addr)
+{
+    std::uint32_t &ref = _placedIdx[addr];
+    if (ref == 0) {
+        const std::size_t idx = _placedAddrs.size();
+        // Grow the cache against its own high-water counter, not
+        // _placedBufs.size(): the buffers hold payload words, and
+        // occupancy is placement bookkeeping that must stay
+        // independent of them.
+        if (_placedBufsMade <= idx) {
+            _placedBufs.emplace_back();
+            ++_placedBufsMade;
+        }
+        _placedAddrs.push_back(addr);
+        ref = static_cast<std::uint32_t>(idx) + 1;
+    }
+    return ref - 1;
+}
+
+SB_HOT void
+TinyOram::offerShadows(LeafLabel leaf)
+{
+    // Rule-1 bounds a stash shadow by its label's common prefix with
+    // this path, Rule-2 by its real copy's tree level.  Its payload
+    // stays in the stash until the dummy fill chooses it (few are),
+    // and the greedy pass never places a stash shadow.
+    _stash.forEachShadow([&](const StashEntry &e) {
+        const std::uint8_t realLvl = _realLevel[e.addr];
+        SB_ASSERT(realLvl != kInStash,
+                  "stash shadow coexists with a stash real copy");
+        const unsigned maxLevel = std::min<unsigned>(
+            _tree.commonLevel(e.leaf, leaf), realLvl);
+        _policy->offerStashShadow(e.addr, e.leaf, e.version, realLvl,
+                                  maxLevel);
+    });
+
+    // Shadows vacuumed by this eviction's path read circulate the
+    // same way.  If the real copy came off this same path into the
+    // stash, its final location is only known after the greedy
+    // placements, so the offer uses the label bound and the dummy
+    // fill re-checks Rule-2 before committing a slot.
+    for (const StashEntry &e : _evictShadows) {
+        const std::uint8_t realLvl = _realLevel[e.addr];
+        const bool realInStash = realLvl == kInStash;
+        const unsigned rearLevel = realInStash ? _geo.leafLevel : realLvl;
+        const unsigned maxLevel = std::min<unsigned>(
+            _tree.commonLevel(e.leaf, leaf),
+            realInStash ? _geo.leafLevel + 1 : realLvl);
+        if (_cfg.payloadEnabled)
+            _placedBufs[placedBufIdx(e.addr)] = e.payload;
+        _policy->offerStashShadow(e.addr, e.leaf, e.version, rearLevel,
+                                  maxLevel);
+    }
+}
+
+SB_HOT void
+TinyOram::placeGreedy(LeafLabel leaf)
+{
+    _dummyScratch.clear();
 
     // Placements mark entries consumed in the plan and remove them
     // from the stash, so shallower levels see exactly what a fresh
@@ -683,10 +731,10 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
 
         // Tier-1 note: quarantined slots stay full-fledged placement
         // targets.  Their payloads are diverted into the on-chip
-        // spare store at the batch-crypto step below, so quarantine
-        // never shrinks capacity — capacity loss would retain blocks
-        // in the stash and leak fault state through the stash-hit
-        // pattern (see FaultObliviousnessTest).
+        // spare store by flushWrite, so quarantine never shrinks
+        // capacity — capacity loss would retain blocks in the stash
+        // and leak fault state through the stash-hit pattern (see
+        // FaultObliviousnessTest).
         unsigned slotCursor = 0;
         plan.forEachEligible(level, [&](Stash::PlanEntry &cand) {
             if (slotCursor >= _cfg.slotsPerBucket)
@@ -694,8 +742,8 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             if (cand.shadow) {
                 // Stash shadows are not placed greedily (that would
                 // sink them right back next to their real copy);
-                // they re-enter the tree through the duplication
-                // pass below, which puts them where they help.
+                // they re-enter the tree through the dummy fill,
+                // which puts them where they help.
                 return true;
             }
             StashEntry *entry = _stash.find(cand.addr);
@@ -711,10 +759,10 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             _tree.slot(b, slotCursor) = value;
             if (_cfg.payloadEnabled) {
                 // The entry leaves the stash right below; hand its
-                // buffer to the duplication pass instead of copying,
-                // and defer the encryption to the batch-crypto step
-                // (nonce order is the pending-record order, which
-                // matches the per-slot encrypt order this replaces).
+                // buffer to the dummy fill instead of copying, and
+                // defer the encryption to flushWrite (nonce order is
+                // the pending-record order, which matches the
+                // per-slot encrypt order this replaces).
                 const std::uint32_t bi = placedBufIdx(entry->addr);
                 std::swap(_placedBufs[bi], entry->payload);
                 _pendingEnc.push_back(PendingEncrypt{slotIdx, bi});
@@ -738,25 +786,21 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
         });
 
         for (; slotCursor < _cfg.slotsPerBucket; ++slotCursor)
-            dummies.push_back(DummySlot{b, slotCursor, level});
+            _dummyScratch.push_back(DummySlot{b, slotCursor, level});
     }
+}
 
-    // Pass 2 — fill dummy slots, root side first, so the rear-most
-    // candidates land in the slots that advance them the furthest
-    // (Algorithm 1, line 4).  All of this happens inside the
-    // controller before the re-encrypted path leaves the chip, so
-    // the assignment order is externally invisible.
+SB_HOT void
+TinyOram::fillDummies()
+{
+    // Root side first, so the rear-most candidates land in the slots
+    // that advance them the furthest (Algorithm 1, line 4).  All of
+    // this happens inside the controller before the re-encrypted
+    // path leaves the chip, so the assignment order is externally
+    // invisible.
     _evictShadowPlaced.assign(_evictShadows.size(), 0);
-    auto markBufferedPlaced = [&](Addr addr) {
-        for (std::size_t i = 0; i < _evictShadows.size(); ++i) {
-            if (_evictShadows[i].addr == addr) {
-                _evictShadowPlaced[i] = 1;
-                return;
-            }
-        }
-    };
-
-    for (auto it = dummies.rbegin(); it != dummies.rend(); ++it) {
+    for (auto it = _dummyScratch.rbegin(); it != _dummyScratch.rend();
+         ++it) {
         Slot &slot = _tree.slot(it->bucket, it->slot);
         const std::uint64_t slotIdx =
             _tree.slotIndex(it->bucket, it->slot);
@@ -778,66 +822,67 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             if (realLvl == kInStash || it->level >= realLvl)
                 choice.reset();
         }
-        if (choice) {
-            slot.type = BlockType::Shadow;
-            slot.addr = static_cast<std::uint32_t>(choice->addr);
-            slot.leaf = static_cast<std::uint32_t>(choice->leaf);
-            slot.version = choice->version;
-            ++_stats.shadowsWritten;
+        if (!choice) {
             if (_cfg.payloadEnabled) {
-                // A candidate without a buffer yet is a stash shadow:
-                // copy its payload now, while the stash still has it.
-                if (_placedIdx[choice->addr] == 0) {
-                    const StashEntry *sh = _stash.find(choice->addr);
-                    SB_ASSERT(sh != nullptr,
-                              "shadow candidate has no payload");
-                    _placedBufs[placedBufIdx(choice->addr)] = sh->payload;
-                }
-                _pendingEnc.push_back(PendingEncrypt{
-                    slotIdx, _placedIdx[choice->addr] - 1});
+                _tree.eraseCipher(slotIdx);
+                _spare.erase(slotIdx);
             }
-            if (choice->releaseStashCopy)
-                _stash.dropShadowOf(choice->addr);
-            markBufferedPlaced(choice->addr);
-        } else if (_cfg.payloadEnabled) {
-            _tree.eraseCipher(slotIdx);
-            _spare.erase(slotIdx);
+            continue;
         }
+        slot.type = BlockType::Shadow;
+        slot.addr = static_cast<std::uint32_t>(choice->addr);
+        slot.leaf = static_cast<std::uint32_t>(choice->leaf);
+        slot.version = choice->version;
+        ++_stats.shadowsWritten;
+        if (_cfg.payloadEnabled) {
+            // A candidate without a buffer yet is a stash shadow:
+            // copy its payload now, while the stash still has it.
+            if (_placedIdx[choice->addr] == 0) {
+                const StashEntry *sh = _stash.find(choice->addr);
+                SB_ASSERT(sh != nullptr,
+                          "shadow candidate has no payload");
+                _placedBufs[placedBufIdx(choice->addr)] = sh->payload;
+            }
+            _pendingEnc.push_back(
+                PendingEncrypt{slotIdx, _placedIdx[choice->addr] - 1});
+        }
+        if (choice->releaseStashCopy)
+            _stash.dropShadowOf(choice->addr);
+        if (const std::size_t i = evictShadowIndex(choice->addr);
+            i < _evictShadows.size())
+            _evictShadowPlaced[i] = 1;
     }
+}
 
-    // Batch-crypto step: one keystream pass re-encrypts every slot
-    // this write placed (pass-1 reals and pass-2 shadows — the slot
-    // sets are disjoint, so each slot is encrypted exactly once).
-    // Deferring the per-slot encryptions here keeps the placement
-    // loops branch-light and lets the codec amortise the PRF setup.
+SB_HOT void
+TinyOram::flushWrite()
+{
+    // One keystream pass re-encrypts every slot this write placed
+    // (greedy reals and dummy-fill shadows — the slot sets are
+    // disjoint, so each slot is encrypted exactly once).  Deferring
+    // the per-slot encryptions here keeps the placement loops
+    // branch-light and lets the codec amortise the PRF setup.
     if (_cfg.payloadEnabled && !_pendingEnc.empty()) {
         const std::uint64_t words = _cfg.blockBytes / 8;
         _encPlains.clear();
         _encRefs.clear();
-        const bool qActive = _health.quarantineActive();
-        // Counted alongside the pushes: the batch length is placement
-        // bookkeeping (pending placements minus quarantine parks, all
-        // trace-visible quantities), so the size/branch below must
-        // not be derived from a buffer that holds payload pointers.
+        // Tier-1 spare-store remap: a placement into a quarantined
+        // slot parks its plaintext on chip instead of writing the
+        // bad cell.  The placement itself — and therefore stash
+        // occupancy and the external trace — is identical to a
+        // healthy slot's.  The slots that are written stay at the
+        // front of _pendingEnc, counted alongside the pushes: the
+        // batch length is placement bookkeeping, so it must not be
+        // derived from a buffer that holds payload pointers.
         std::size_t n = 0;
-        for (const PendingEncrypt &pe : _pendingEnc) {
-            // Tier-1 spare-store remap: a placement into a
-            // quarantined slot parks its plaintext on chip instead of
-            // writing the bad cell (whose stripe stays erased).  The
-            // placement itself — and therefore stash occupancy and
-            // the external trace — is identical to a healthy slot's.
-            if (qActive && _health.isQuarantined(pe.slotIdx)) {
-                const std::vector<std::uint64_t> &buf =
-                    _placedBufs[pe.bufIdx];
-                _spare[pe.slotIdx].assign(buf.begin(),
-                                          buf.begin() + words);
-                _tree.eraseCipher(pe.slotIdx);
-                ++_stats.quarantineEvacuations;
+        for (std::size_t i = 0; i < _pendingEnc.size(); ++i) {
+            const PendingEncrypt pe = _pendingEnc[i];
+            const std::uint64_t *plain = _placedBufs[pe.bufIdx].data();
+            if (parkIfQuarantined(pe.slotIdx, plain))
                 continue;
-            }
-            _encPlains.push_back(_placedBufs[pe.bufIdx].data());
+            _encPlains.push_back(plain);
             _encRefs.push_back(_tree.cipherRef(pe.slotIdx));
-            ++n;
+            _pendingEnc[n++] = pe;
         }
         if (n > 0) {
             // sblint:allow-next-line(hot-path-alloc): pool-backed scratch; allocation-free once the pool is warm
@@ -850,15 +895,8 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
         // Stuck-cell re-application after the fact: each rewrite is
         // keyed by slot index alone, so doing them after the batch is
         // equivalent to interleaving them with per-slot encrypts.
-        // Parked slots are skipped — their cells were not rewritten.
-        for (const PendingEncrypt &pe : _pendingEnc) {
-            if (qActive && _health.isQuarantined(pe.slotIdx))
-                continue;
-            if (_faults &&
-                _faults->onSlotRewritten(pe.slotIdx,
-                                         _tree.cipherRef(pe.slotIdx)))
-                ++_stats.faultsInjected;
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            reapplyStuckCell(_pendingEnc[i].slotIdx);
     }
     _pendingEnc.clear();
     for (Addr a : _placedAddrs)
@@ -875,50 +913,37 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             _payloadPool.release(std::move(e.payload));
     }
     _evictShadows.clear();
-
-    _policy->endPathWrite();
-
-    // DRAM writes for the off-chip levels, leaf to root order.
-    const Cycles dramDone =
-        schedulePath(_dram, leaf, startTime + _cfg.aesLatency, true,
-                     _dram.timing().tBURST, nullptr);
-    const Cycles done =
-        std::max(dramDone, startTime + _cfg.onChipLatency);
-    if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr) {
-        // The modelled crypto phase: the whole path is re-encrypted
-        // (one batch keystream pass) before the burst leaves the chip.
-        t->complete(obs::kTrackEviction, "crypto", startTime,
-                    _cfg.aesLatency);
-        t->complete(obs::kTrackEviction, "path_write", startTime,
-                    done - startTime);
-    }
-    return done;
 }
 
-Cycles
-TinyOram::maybeEvict(Cycles time)
+void
+TinyOram::evictPath(Cycles time)
 {
-    if (_accessCounter % _cfg.evictionRate != 0)
-        return time;
-    ++_stats.evictions;
-    const LeafLabel leaf = nextEvictionLeaf();
-    PathReadOutcome read = pathRead(leaf, ReadMode::Evict,
-                                    kInvalidAddr, time);
     // The whole eviction drains in the background: the DRAM model
     // serialises its commands against later path reads at the
     // bank/bus level, so a following request pays exactly the
     // contention the eviction causes rather than a full controller
     // stall (the controller pipelines the read-write access behind
     // the read-only ones).
+    const LeafLabel leaf = nextEvictionLeaf();
+    const PathReadOutcome read =
+        pathRead(leaf, ReadMode::Evict, kInvalidAddr, time);
     _lastEvictionDone = pathWrite(leaf, read.finish);
-    return time;
 }
 
-Cycles
+void
+TinyOram::maybeEvict(Cycles time)
+{
+    if (_accessCounter % _cfg.evictionRate != 0)
+        return;
+    ++_stats.evictions;
+    evictPath(time);
+}
+
+void
 TinyOram::applyBackpressure(Cycles time)
 {
     if (!_health.config().backpressureEnabled())
-        return time;
+        return;
     if (_health.degraded())
         ++_stats.degradedTicks;
     int change = _health.noteStashOccupancy(_stash.realCount());
@@ -928,7 +953,7 @@ TinyOram::applyBackpressure(Cycles time)
             _flight->record(time, obs::FlightKind::DegradedEnter,
                             _stash.realCount());
         obs::forensics().degraded.store(1);
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
+        if (obs::TraceSession *t = trace())
             t->instant(obs::kTrackEviction, "degraded_enter", time);
     }
     if (_health.degraded()) {
@@ -942,10 +967,7 @@ TinyOram::applyBackpressure(Cycles time)
         // bit-identical to the fault-free run
         // (tests/security/FaultObliviousnessTest.cc).
         ++_stats.emergencyEvictions;
-        const LeafLabel leaf = nextEvictionLeaf();
-        PathReadOutcome read =
-            pathRead(leaf, ReadMode::Evict, kInvalidAddr, time);
-        _lastEvictionDone = pathWrite(leaf, read.finish);
+        evictPath(time);
         change = _health.noteStashOccupancy(_stash.realCount());
     }
     if (change < 0) {
@@ -953,10 +975,9 @@ TinyOram::applyBackpressure(Cycles time)
             _flight->record(time, obs::FlightKind::DegradedExit,
                             _stash.realCount());
         obs::forensics().degraded.store(0);
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
+        if (obs::TraceSession *t = trace())
             t->instant(obs::kTrackEviction, "degraded_exit", time);
     }
-    return time;
 }
 
 void
@@ -976,101 +997,32 @@ TinyOram::scrubStorage()
     for (BucketIndex b = 0; b < _tree.numBuckets(); ++b) {
         for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s) {
             Slot &slot = _tree.slot(b, s);
-            if (!slot.valid())
-                continue;
             const std::uint64_t slotIdx = _tree.slotIndex(b, s);
             // Parked slots hold no ciphertext — the on-chip spare
             // copy is authoritative and cannot corrupt.
-            if (_spare.count(slotIdx))
+            if (!slot.valid() || _spare.count(slotIdx) ||
+                _codec.verify(_tree.cipherView(slotIdx)))
                 continue;
-            if (_codec.verify(_tree.cipherView(slotIdx)))
-                continue;
-
             if (slot.isShadow()) {
-                // A corrupt shadow is a lost redundant copy, never
-                // lost data: reclaim the slot (same disposition the
-                // read path applies).
-                ++_stats.faultsDetected;
-                ++_stats.faultsRecovered;
-                if (_health.recordSlotFailure(slotIdx)) {
-                    ++_stats.slotsQuarantined;
-                    if (_flight != nullptr)
-                        _flight->record(
-                            _freeAt,
-                            obs::FlightKind::SlotQuarantine,
-                            slotIdx);
-                }
-                slot.clear();
-                _tree.eraseCipher(slotIdx);
+                // A lost redundant copy, never lost data.
+                reclaimCorruptShadow(slot, slotIdx, _freeAt, nullptr);
                 continue;
             }
-
-            // Corrupt real block: heal from a same-version shadow —
-            // the stash may hold one, or any surviving tree shadow
-            // (Rule-1 keeps them on the block's own path, but the
-            // scrub walks everything anyway).
-            bool healed = false;
-            if (const StashEntry *sh = _stash.find(slot.addr);
-                sh && sh->isShadow() && sh->version == slot.version) {
-                plain = sh->payload;
-                healed = true;
-            }
-            for (BucketIndex b2 = 0; !healed && b2 < _tree.numBuckets();
-                 ++b2) {
-                for (unsigned s2 = 0; s2 < _cfg.slotsPerBucket; ++s2) {
-                    const Slot &cand = _tree.slot(b2, s2);
-                    if (!cand.isShadow() || cand.addr != slot.addr ||
-                        cand.version != slot.version)
-                        continue;
-                    const std::uint64_t candIdx =
-                        _tree.slotIndex(b2, s2);
-                    if (auto sp = _spare.find(candIdx);
-                        sp != _spare.end()) {
-                        plain = sp->second;
-                        healed = true;
-                        break;
-                    }
-                    if (_codec.verifyDecrypt(_tree.cipherView(candIdx),
-                                             plain)) {
-                        healed = true;
-                        break;
-                    }
-                }
-            }
-            if (!healed) {
-                // Leave the slot untouched — the next path read of it
-                // performs the full detection/unrecoverable
-                // accounting exactly once.
+            // Heal from the places the read path heals from, searched
+            // along the block's own path.  An unhealable slot is left
+            // untouched: the next path read of it does the full
+            // detection/unrecoverable accounting exactly once.
+            if (!recoverRealPayload(slot, _realLevel[slot.addr],
+                                    slot.leaf, plain)) {
                 clean = false;
                 continue;
             }
-            ++_stats.faultsDetected;
-            ++_stats.faultsRecovered;
-            if (_health.recordSlotFailure(slotIdx)) {
-                ++_stats.slotsQuarantined;
-                if (_flight != nullptr)
-                    _flight->record(_freeAt,
-                                    obs::FlightKind::SlotQuarantine,
-                                    slotIdx);
-            }
-            if (_health.quarantineActive() &&
-                _health.isQuarantined(slotIdx)) {
-                // The cell just crossed the quarantine threshold (or
-                // already had): park the healed payload on chip
-                // instead of rewriting the bad stripe.
-                _spare[slotIdx] = plain;
-                _tree.eraseCipher(slotIdx);
-                ++_stats.quarantineEvacuations;
+            countFault(slotIdx, _freeAt, nullptr, true);
+            if (parkIfQuarantined(slotIdx, plain.data()))
                 continue;
-            }
             _codec.encryptRef(plain.data(), _tree.cipherRef(slotIdx));
-            if (_faults &&
-                _faults->onSlotRewritten(slotIdx,
-                                         _tree.cipherRef(slotIdx))) {
-                // A stuck cell re-corrupted the healed rewrite.
-                ++_stats.faultsInjected;
-                clean = false;
-            }
+            if (reapplyStuckCell(slotIdx))
+                clean = false;  // It re-corrupted the healed rewrite.
         }
     }
     return clean;
@@ -1100,16 +1052,8 @@ TinyOram::accessOne(Addr addr, Cycles startTime, Op op,
 
     // Apply a write now — the eviction below may push the block
     // straight back into the tree.
-    if (op == Op::Write) {
-        ++entry->version;
-        if (_cfg.payloadEnabled) {
-            if (writeData)
-                entry->payload = *writeData;
-            else
-                patternPayloadInto(addr, entry->version,
-                                   entry->payload);
-        }
-    }
+    if (op == Op::Write)
+        applyWrite(*entry, writeData);
 
     res.forwardAt = read.forwardAt;
     res.forwardLevel = read.forwardLevel;
@@ -1119,16 +1063,30 @@ TinyOram::accessOne(Addr addr, Cycles startTime, Op op,
     if (read.usedShadow) {
         ++_stats.shadowForwards;
         SB_ASSERT(_geo.leafLevel >= read.forwardLevel, "level");
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
+        if (obs::TraceSession *t = trace())
             t->instant(obs::kTrackPipeline, "shadow_forward",
                        read.forwardAt);
     }
 
     ++_accessCounter;
     _policy->onRequestClassified(false);
-    res.completeAt = maybeEvict(read.finish);
-    res.completeAt = applyBackpressure(res.completeAt);
+    maybeEvict(read.finish);
+    applyBackpressure(read.finish);
+    res.completeAt = read.finish;
     return res;
+}
+
+void
+TinyOram::applyWrite(StashEntry &e,
+                     const std::vector<std::uint64_t> *writeData)
+{
+    ++e.version;
+    if (!_cfg.payloadEnabled)
+        return;
+    if (writeData)
+        e.payload = *writeData;
+    else
+        patternPayloadInto(e.addr, e.version, e.payload);
 }
 
 AccessResult
@@ -1161,28 +1119,20 @@ TinyOram::access(Addr addr, Op op, Cycles issueTime,
         ++_stats.onChipHits;
         if (hit->isShadow())
             ++_stats.shadowStashHits;
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
+        if (obs::TraceSession *t = trace())
             t->instant(obs::kTrackPipeline, "stash_hit", issueTime);
-        if (op == Op::Write) {
-            ++hit->version;
-            if (_cfg.payloadEnabled) {
-                if (writeData)
-                    hit->payload = *writeData;
-                else
-                    patternPayloadInto(addr, hit->version,
-                                       hit->payload);
-            }
-        }
+        if (op == Op::Write)
+            applyWrite(*hit, writeData);
         return res;
     }
     // A write hitting only a shadow copy must fetch the real block:
     // fall through to a full access (DESIGN.md, deviations).
 
     Cycles t = std::max(issueTime, _freeAt);
-    AccessResult total;
-    total.start = t;
+    const Cycles start = t;
+    unsigned posMapPaths = 0;
 
-    obs::TraceSession *ts = _obs ? _obs->trace() : nullptr;
+    obs::TraceSession *ts = trace();
     if (ts)
         ts->begin(obs::kTrackPipeline, "access", t);
 
@@ -1197,27 +1147,23 @@ TinyOram::access(Addr addr, Op op, Cycles issueTime,
         const Cycles pmStart = t;
         AccessResult r = accessOne(pmAddr, t);
         t = r.completeAt;
-        total.pathAccesses += r.pathAccesses;
+        posMapPaths += r.pathAccesses;
         if (ts)
             ts->complete(obs::kTrackPipeline, "posmap_access",
                          pmStart, t - pmStart);
     }
 
-    AccessResult dataAccess = accessOne(addr, t, op, writeData);
-    total.forwardAt = dataAccess.forwardAt;
-    total.completeAt = dataAccess.completeAt;
-    total.usedShadow = dataAccess.usedShadow;
-    total.onChipHit = dataAccess.onChipHit;
-    total.forwardLevel = dataAccess.forwardLevel;
-    total.pathAccesses += dataAccess.pathAccesses;
-    if (total.onChipHit)
+    AccessResult res = accessOne(addr, t, op, writeData);
+    res.start = start;
+    res.pathAccesses += posMapPaths;
+    if (res.onChipHit)
         ++_stats.onChipHits;
 
     if (ts)
-        ts->end(obs::kTrackPipeline, total.completeAt);
+        ts->end(obs::kTrackPipeline, res.completeAt);
 
-    _freeAt = total.completeAt;
-    return total;
+    _freeAt = res.completeAt;
+    return res;
 }
 
 Cycles
@@ -1228,12 +1174,14 @@ TinyOram::dummyAccess(Cycles issueTime)
     const LeafLabel leaf = _dummyRng.below(_geo.numLeaves);
     PathReadOutcome read = pathRead(leaf, ReadMode::Dummy,
                                     kInvalidAddr, t);
-    if (obs::TraceSession *trace = _obs ? _obs->trace() : nullptr)
-        trace->complete(obs::kTrackPipeline, "dummy_access", t,
-                        read.finish - t);
+    if (obs::TraceSession *ts = trace())
+        ts->complete(obs::kTrackPipeline, "dummy_access", t,
+                     read.finish - t);
     ++_accessCounter;
     _policy->onRequestClassified(true);
-    _freeAt = applyBackpressure(maybeEvict(read.finish));
+    maybeEvict(read.finish);
+    applyBackpressure(read.finish);
+    _freeAt = read.finish;
     return _freeAt;
 }
 

@@ -46,6 +46,7 @@ namespace sboram {
 namespace obs {
 class FlightRecorder;
 class RunObserver;
+class TraceSession;
 }
 
 /** Timing and provenance of one served LLC request. */
@@ -227,12 +228,13 @@ class TinyOram
      * Patrol scrub over the whole stored tree (payload mode only):
      * verify every valid slot's integrity tag, reclaim corrupt shadow
      * copies, and heal corrupt real blocks from a same-version shadow
-     * where one survives.  Returns true when every real block
-     * verified (possibly after healing) — i.e. a snapshot taken now
-     * carries no latent corruption.  An unhealable corrupt real slot
-     * is left untouched (the next path read does the full
-     * unrecoverable accounting) and makes the scrub report false so
-     * the caller can skip committing a poisoned snapshot.
+     * where one survives, searched as the read path searches, along
+     * the block's own path (recoverRealPayload).  Returns true when
+     * every real block verified (possibly after healing) — i.e. a
+     * snapshot taken now carries no latent corruption.  An unhealable
+     * corrupt real slot is left untouched (the next path read does
+     * the full unrecoverable accounting) and makes the scrub report
+     * false so the caller can skip committing a poisoned snapshot.
      */
     bool scrubStorage();
 
@@ -300,21 +302,68 @@ class TinyOram
     SB_HOT PathReadOutcome pathRead(LeafLabel leaf, ReadMode mode,
                                     Addr wantAddr, Cycles startTime);
 
-    /** Greedy path write with duplication (Algorithm 1). */
+    /**
+     * A slot's integrity tag failed on this path read (Tiny ORAM
+     * baseline [18]).  A corrupt shadow is harmless — the real copy
+     * is authoritative — so it is reclaimed, @p payload goes back to
+     * the pool, and the result is false (drop the entry).  A corrupt
+     * real has @p payload rebuilt from a same-version shadow (the
+     * duplication the policies keep for latency doubles as
+     * redundancy) or, failing that, handed to handleUnrecoverable;
+     * the result is true.
+     */
+    SB_HOT bool healTagFailure(Slot &slot, std::uint64_t slotIdx,
+                               BucketIndex bucket, unsigned level,
+                               LeafLabel leaf, Cycles at,
+                               std::vector<std::uint64_t> &payload);
+
+    /**
+     * Greedy path write with duplication (Algorithm 1), as four
+     * phases over the per-write scratch: offerShadows, placeGreedy,
+     * fillDummies, flushWrite.
+     */
     SB_HOT Cycles pathWrite(LeafLabel leaf, Cycles startTime);
 
-    /** Run Step-5/6 eviction if the access counter says so. */
-    Cycles maybeEvict(Cycles time);
+    /** Write phase 1 (recirculateShadows only): offer the stash and
+     *  eviction-buffer shadows to the duplication policy. */
+    SB_HOT void offerShadows(LeafLabel leaf);
+
+    /** Write phase 2: greedy placement of stash reals, leaf to root
+     *  (deepest possible); the slots left over go to _dummyScratch. */
+    SB_HOT void placeGreedy(LeafLabel leaf);
+
+    /** Write phase 3: fill the dummy slots root side first with the
+     *  policy's shadow choices (Rule-2 re-checked), or blank them. */
+    SB_HOT void fillDummies();
+
+    /** Write phase 4: park or batch-encrypt every placed slot,
+     *  re-apply stuck cells, reset the payload buffers and return
+     *  unplaced eviction-buffer shadows to the stash. */
+    SB_HOT void flushWrite();
+
+    /** Dense _placedBufs slot of @p addr's payload in this write,
+     *  assigned on first use. */
+    SB_HOT std::uint32_t placedBufIdx(Addr addr);
+
+    /** Index of @p addr in _evictShadows, or its size when absent. */
+    SB_HOT std::size_t evictShadowIndex(Addr addr) const;
+
+    /** Step-5/6 eviction: one path read and write on the next
+     *  reverse-lexicographic leaf, draining in the background. */
+    void evictPath(Cycles time);
+
+    /** Run evictPath if the access counter says so. */
+    void maybeEvict(Cycles time);
 
     /**
      * Tier-2 stash backpressure, run after every access's eviction
      * slot: update the degraded-mode latch from real-stash occupancy
-     * and, while degraded, run one emergency background-eviction
-     * sweep.  Trace-neutral by construction — the latch depends only
-     * on occupancy, which a clean run under the same config follows
+     * and, while degraded, run one emergency evictPath sweep.
+     * Trace-neutral by construction — the latch depends only on
+     * occupancy, which a clean run under the same config follows
      * identically.
      */
-    Cycles applyBackpressure(Cycles time);
+    void applyBackpressure(Cycles time);
 
     /** One request-serving ORAM access for @p addr. */
     AccessResult accessOne(Addr addr, Cycles startTime,
@@ -334,12 +383,47 @@ class TinyOram
      * Self-healing (the duplication mechanism as a reliability win):
      * fill @p out with the payload of @p slot's address from a
      * same-version shadow copy — stash, eviction path buffer, or a
-     * shallower tree slot on this path (InvariantChecker invariants
-     * 3–4 guarantee those are the only places one can live).
+     * tree slot above @p level on the path to @p leaf (InvariantChecker
+     * invariants 1 and 3 guarantee those are the only places one can
+     * live).  The read path and the scrub both heal through here.
      */
     bool recoverRealPayload(const Slot &slot, unsigned level,
                             LeafLabel leaf,
                             std::vector<std::uint64_t> &out);
+
+    /**
+     * Account one detected tag failure of @p slotIdx: the detected
+     * and recovered (or unrecoverable) counters, the tier-1 failure
+     * count with its quarantine flight record, and — when @p t is
+     * given — the matching trace instants at @p at.
+     */
+    SB_HOT void countFault(std::uint64_t slotIdx, Cycles at,
+                           obs::TraceSession *t, bool recovered);
+
+    /** Count a corrupt shadow as detected and recovered, and free
+     *  its slot. */
+    SB_HOT void reclaimCorruptShadow(Slot &slot, std::uint64_t slotIdx,
+                                     Cycles at, obs::TraceSession *t);
+
+    /**
+     * Tier-1 spare-store remap: when @p slotIdx is quarantined, park
+     * @p plain on chip instead of writing the bad cell (whose stripe
+     * stays erased) and return true.
+     */
+    SB_HOT bool parkIfQuarantined(std::uint64_t slotIdx,
+                                  const std::uint64_t *plain);
+
+    /** Let a stuck cell re-corrupt @p slotIdx's fresh ciphertext;
+     *  true (and counted as injected) when it did. */
+    SB_HOT bool reapplyStuckCell(std::uint64_t slotIdx);
+
+    /** Apply an LLC write to @p e: bump its version and store
+     *  @p writeData (or the version's pattern) in payload mode. */
+    void applyWrite(StashEntry &e,
+                    const std::vector<std::uint64_t> *writeData);
+
+    /** The run's trace session, or null when none is attached. */
+    SB_HOT obs::TraceSession *trace() const;
 
     /**
      * All copies of @p slot's block are gone.  Panic, throw
@@ -366,9 +450,8 @@ class TinyOram
                         Cycles *levelReady) const;
 
     void initializeTree();
-    std::vector<std::uint64_t> patternPayload(Addr addr,
-                                              std::uint32_t version) const;
-    /** In-place variant: fills @p out, reusing its capacity. */
+    /** Deterministic payload of @p addr at @p version, written into
+     *  @p out (capacity reused). */
     void patternPayloadInto(Addr addr, std::uint32_t version,
                             std::vector<std::uint64_t> &out) const;
 
@@ -445,16 +528,15 @@ class TinyOram
      *  tree (parallel to _evictShadows). */
     std::vector<char> _evictShadowPlaced;
 
-    /** One empty slot found by path-write pass 1, to be filled (or
-     *  explicitly blanked) by the duplication pass. */
+    /** One empty slot found by placeGreedy, to be filled (or
+     *  explicitly blanked) by fillDummies. */
     struct DummySlot
     {
         BucketIndex bucket;
         unsigned slot;
         unsigned level;
     };
-    /** One slot whose re-encryption is deferred to the batch-crypto
-     *  step at the end of a path write. */
+    /** One slot whose re-encryption is deferred to flushWrite. */
     struct PendingEncrypt
     {
         std::uint64_t slotIdx;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 
 #include "../oram/OramTestUtil.hh"
+#include "ckpt/Serde.hh"
 #include "common/Errors.hh"
 #include "common/Rng.hh"
 #include "fault/FaultInjector.hh"
@@ -38,6 +40,37 @@ faultyConfig(double rate, UnrecoverablePolicy policy)
     cfg.fault.seed = 42;
     cfg.fault.onUnrecoverable = policy;
     return cfg;
+}
+
+/** Every OramStats field, in serde order, for whole-struct deltas. */
+std::vector<std::uint64_t>
+statWords(const OramStats &st)
+{
+    ckpt::Serializer out;
+    OramStats::serde(st, out);
+    const std::vector<std::uint8_t> &b = out.buffer();
+    std::vector<std::uint64_t> words(b.size() / 8, 0);
+    for (std::size_t i = 0; i < b.size(); ++i)
+        words[i / 8] |= std::uint64_t(b[i]) << (8 * (i % 8));
+    return words;
+}
+
+/** Tree slots whose stored ciphertext fails its tag (read-only). */
+std::vector<std::uint64_t>
+corruptSlots(const TinyOram &oram)
+{
+    const OtpCodec codec;
+    const OramTree &tree = oram.tree();
+    std::vector<std::uint64_t> out;
+    for (BucketIndex b = 0; b < tree.numBuckets(); ++b) {
+        for (unsigned s = 0; s < tree.slotsPerBucket(); ++s) {
+            const std::uint64_t idx = tree.slotIndex(b, s);
+            if (tree.slot(b, s).valid() &&
+                !codec.verify(tree.cipherView(idx)))
+                out.push_back(idx);
+        }
+    }
+    return out;
 }
 
 } // namespace
@@ -242,6 +275,138 @@ TEST(FaultRecovery, FaultInjectionRequiresPayloadMode)
     EXPECT_EXIT(
         { OramFixture fx(cfg); },
         testing::ExitedWithCode(kFatalExitCode), "payload mode");
+}
+
+TEST(Scrub, FaultFreeControllerIsCleanAndLeavesStatsAlone)
+{
+    auto fx = makeShadowFixture(smallConfig());
+    drive(fx->oram, 800, 1 << 10);
+    const std::vector<std::uint64_t> before = statWords(fx->oram.stats());
+    EXPECT_TRUE(fx->oram.scrubStorage());
+    EXPECT_EQ(statWords(fx->oram.stats()), before);
+    EXPECT_TRUE(checkInvariants(fx->oram).ok);
+}
+
+TEST(Scrub, HealsOrReclaimsEveryFaultItCountsAfterRdDupRun)
+{
+    ShadowConfig scfg;
+    scfg.mode = ShadowMode::RdOnly;
+    auto fx = makeShadowFixture(
+        faultyConfig(0.05, UnrecoverablePolicy::Count), scfg);
+    drive(fx->oram, 2500, 1 << 10);
+    ASSERT_FALSE(corruptSlots(fx->oram).empty())
+        << "the run left no latent corruption to scrub";
+
+    const OramStats before = fx->oram.stats();
+    const bool clean = fx->oram.scrubStorage();
+    const OramStats &st = fx->oram.stats();
+    const std::uint64_t detected =
+        st.faultsDetected - before.faultsDetected;
+    const std::uint64_t recovered =
+        st.faultsRecovered - before.faultsRecovered;
+    // The scrub never declares a block lost: an unhealable real is
+    // left for the read path, so everything it counts it recovered.
+    EXPECT_GT(detected, 0u);
+    EXPECT_EQ(detected, recovered);
+    EXPECT_EQ(st.faultsUnrecoverable, before.faultsUnrecoverable);
+    EXPECT_TRUE(checkInvariants(fx->oram).ok)
+        << checkInvariants(fx->oram).firstViolation;
+
+    // No corrupt shadow survives; a corrupt real that does (no copy
+    // to heal from, or a stuck cell re-corrupted the rewrite) makes
+    // the scrub report false.
+    const std::vector<std::uint64_t> left = corruptSlots(fx->oram);
+    EXPECT_EQ(clean, left.empty());
+    const unsigned z = fx->oram.tree().slotsPerBucket();
+    for (std::uint64_t idx : left)
+        EXPECT_TRUE(fx->oram.tree()
+                        .slot(idx / z, static_cast<unsigned>(idx % z))
+                        .isReal());
+}
+
+TEST(Scrub, HealsACorruptRealFromAShadowOnItsPathThenStaysClean)
+{
+    ShadowConfig scfg;
+    scfg.mode = ShadowMode::RdOnly;
+    auto fx = makeShadowFixture(smallConfig(), scfg);
+    drive(fx->oram, 1500, 1 << 10);
+    auto &tree = const_cast<OramTree &>(fx->oram.tree());
+    const unsigned z = tree.slotsPerBucket();
+
+    // The real tree block with the most tree shadows and none in the
+    // stash: the heal must come from its own path.
+    std::map<Addr, std::vector<std::uint64_t>> copies;  // Heap order.
+    for (BucketIndex b = 0; b < tree.numBuckets(); ++b) {
+        for (unsigned s = 0; s < z; ++s) {
+            const Slot &slot = tree.slot(b, s);
+            if (slot.valid() && !fx->oram.stash().find(slot.addr))
+                copies[slot.addr].push_back(tree.slotIndex(b, s));
+        }
+    }
+    Addr addr = 0;
+    std::size_t most = 0;
+    for (const auto &[a, idx] : copies) {
+        if (idx.size() > most) {
+            addr = a;
+            most = idx.size();
+        }
+    }
+    std::vector<std::uint64_t> shadowIdx = copies[addr];
+    ASSERT_GE(shadowIdx.size(), 2u) << "RD-Dup left no tree shadow";
+    const std::uint64_t realIdx = shadowIdx.back();  // Deepest copy.
+    shadowIdx.pop_back();
+    ASSERT_TRUE(tree.slot(realIdx / z, static_cast<unsigned>(realIdx % z))
+                    .isReal());
+    const std::vector<std::uint64_t> intact = fx->oram.peekPayload(addr);
+
+    // Corrupt the real copy and every tree shadow but the deepest.
+    tree.cipherRef(realIdx).lanes[0] ^= 1;
+    for (std::size_t i = 0; i + 1 < shadowIdx.size(); ++i)
+        tree.cipherRef(shadowIdx[i]).lanes[0] ^= 1;
+
+    const OramStats before = fx->oram.stats();
+    EXPECT_TRUE(fx->oram.scrubStorage());
+    const OramStats &st = fx->oram.stats();
+    EXPECT_EQ(st.faultsDetected - before.faultsDetected,
+              shadowIdx.size());
+    EXPECT_EQ(st.faultsRecovered - before.faultsRecovered,
+              shadowIdx.size());
+    EXPECT_TRUE(corruptSlots(fx->oram).empty());
+    EXPECT_EQ(fx->oram.peekPayload(addr), intact);
+    EXPECT_TRUE(checkInvariants(fx->oram).ok);
+
+    // A scrub that reported clean left nothing for the next one.
+    const std::vector<std::uint64_t> healed = statWords(st);
+    EXPECT_TRUE(fx->oram.scrubStorage());
+    EXPECT_EQ(statWords(fx->oram.stats()), healed);
+}
+
+TEST(Scrub, TinyLeavesAnUnhealableRealForTheReadPath)
+{
+    // No duplication policy: a corrupt real has no copy to heal from.
+    OramFixture fx(faultyConfig(0.05, UnrecoverablePolicy::Count));
+    const Cycles t = drive(fx.oram, 2500, 1 << 10);
+    const std::vector<std::uint64_t> latent = corruptSlots(fx.oram);
+    ASSERT_FALSE(latent.empty());
+
+    const std::vector<std::uint64_t> before = statWords(fx.oram.stats());
+    EXPECT_FALSE(fx.oram.scrubStorage());
+    EXPECT_EQ(statWords(fx.oram.stats()), before);
+    EXPECT_EQ(corruptSlots(fx.oram), latent) << "scrub touched a slot";
+
+    // The next read of that block does the accounting (an eviction
+    // the access triggers may consume other latent slots too).
+    const OramTree &tree = fx.oram.tree();
+    const unsigned z = tree.slotsPerBucket();
+    const Addr addr =
+        tree.slot(latent[0] / z, static_cast<unsigned>(latent[0] % z))
+            .addr;
+    const OramStats mid = fx.oram.stats();
+    fx.oram.access(addr, Op::Read, t + 150);
+    const OramStats &st = fx.oram.stats();
+    EXPECT_GT(st.faultsDetected, mid.faultsDetected);
+    EXPECT_EQ(st.faultsDetected - mid.faultsDetected,
+              st.faultsUnrecoverable - mid.faultsUnrecoverable);
 }
 
 TEST(Watchdog, CleanRunPassesAndIsMetricNeutral)

@@ -17,6 +17,10 @@
 # Exits 77 — the ctest SKIP code — where the toolchain cannot produce
 # a working TSan binary, so the suite degrades instead of failing on
 # minimal containers.
+#
+# The nested tree builds at -O1 -g1 with a fixed job count, like
+# sanitize_smoke: TSan keeps every check at -O1, and this script runs
+# beside other tests under `ctest -j`.
 set -eu
 
 SRC_DIR=${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}
@@ -35,9 +39,10 @@ fi
 
 cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
     -DSB_SANITIZE=tsan \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g1" >/dev/null
 cmake --build "$BUILD_DIR" \
-    --target test_sim test_svc chaos_storm service_storm -j >/dev/null
+    --target test_sim test_svc chaos_storm service_storm -j 3 >/dev/null
 
 # halt_on_error turns any report into a non-zero exit; the runner and
 # system suites cover defer/deferRetry, sweeps, trace caching and
