@@ -39,7 +39,9 @@
 namespace sboram {
 namespace ckpt {
 
-/** Current snapshot format version.  Version 5: histograms gained a
+/** Current snapshot format version.  Version 6: service snapshots
+ *  gained kSectionPort, since every service access now issues through
+ *  the controller's port.  Version 5: histograms gained a
  *  binning-kind tag in their serialized form (log2 is now the only
  *  kind the loader accepts) and the new kSectionReqObs carries the
  *  request-observability state (timeline pool, one latency sample
@@ -51,13 +53,13 @@ namespace ckpt {
  *  generation and resilience counters.  Old snapshots are rejected
  *  with CkptVersionError before any state is mutated and fall back
  *  per the existing recovery tiers. */
-constexpr std::uint32_t kSnapshotVersion = 5;
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 /** Well-known section ids used by sim/System and friends. */
 enum SectionId : std::uint32_t
 {
     kSectionCpu = 1,      ///< CpuCursor (trace position + core state).
-    kSectionPort = 2,     ///< Memory port (slot grid, busy times).
+    kSectionPort = 2,     ///< Controller issue port (slot grid, busy times).
     kSectionOram = 3,     ///< TinyOram and everything under it.
     kSectionPolicy = 4,   ///< ShadowPolicy / partition / hot cache.
     kSectionDram = 5,     ///< DramModel bank/rank/channel timing.

@@ -1,37 +1,36 @@
 #include "System.hh"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 
 #include "baseline/InsecureMemory.hh"
 #include "common/Errors.hh"
-#include "common/Logging.hh"
 #include "mem/EnergyModel.hh"
 #include "obs/MetricNames.hh"
 #include "obs/Observer.hh"
-#include "security/InvariantChecker.hh"
 #include "sim/Controller.hh"
+#include "sim/RunFrame.hh"
 #include "workload/SpecProfiles.hh"
 
 namespace sboram {
 
 namespace {
 
-/** Memory port wrapping the insecure DRAM system. */
-class InsecurePort : public MemoryPort
+/** Front end over the insecure DRAM system. */
+class InsecurePort
 {
   public:
     explicit InsecurePort(InsecureMemory &mem) : _mem(mem) {}
 
-    MemoryReply
-    request(Addr addr, Op op, Cycles issueTime) override
+    /** Serve one request; returns its data-forward cycle. */
+    Cycles
+    issue(Addr addr, Op op, Cycles issueTime)
     {
         InsecureMemory::Result r = _mem.access(addr, op, issueTime);
         _busy += r.completeAt -
                  std::max(issueTime, _lastComplete);
         _lastComplete = r.completeAt;
-        return MemoryReply{r.forwardAt};
+        return r.forwardAt;
     }
 
     double busyTime() const { return static_cast<double>(_busy); }
@@ -57,104 +56,24 @@ class InsecurePort : public MemoryPort
     Cycles _lastComplete = 0;
 };
 
-/**
- * Memory port wrapping the ORAM controller, including the
- * constant-rate timing protection of Fletcher et al. [16]: real or
- * dummy ORAM requests launch on a fixed-interval slot grid; stash
- * hits consume no slot.
- */
-class OramPort : public MemoryPort
+/** The CPU model's memory port: forwards each request to the front
+ *  end's issue call and, under recordPerMiss, logs its forward time. */
+template <class Issue>
+struct ForwardPort : MemoryPort
 {
-  public:
-    OramPort(TinyOram &oram, bool timingProtection, Cycles interval,
-             bool virtualDummies, std::uint64_t watchdogInterval)
-        : _oram(oram), _tp(timingProtection), _interval(interval),
-          _virtualDummies(virtualDummies),
-          _watchdogInterval(watchdogInterval)
-    {
-        SB_ASSERT(!_tp || _interval > 0, "TP needs an interval");
-        _idleThreshold = interval > 0 ? interval : 1;
-    }
+    Issue issue;
+    std::vector<Cycles> *record;
+
+    ForwardPort(Issue i, std::vector<Cycles> *r) : issue(i), record(r) {}
 
     MemoryReply
     request(Addr addr, Op op, Cycles issueTime) override
     {
-        if (_watchdogInterval &&
-            ++_sinceWatchdog >= _watchdogInterval) {
-            _sinceWatchdog = 0;
-            enforceInvariants(_oram, _oram.stats().requests);
-        }
-
-        if (_oram.wouldHitStash(addr, op)) {
-            AccessResult r = _oram.access(addr, op, issueTime);
-            return MemoryReply{r.forwardAt};
-        }
-
-        Cycles start = issueTime;
-        if (_tp) {
-            // Fire dummy requests in every elapsed slot, then place
-            // this request on the next slot boundary.
-            while (_nextSlot < issueTime) {
-                fireDummy(_nextSlot);
-                _nextSlot += _interval;
-            }
-            start = _nextSlot;
-            _nextSlot += _interval;
-        } else if (_virtualDummies) {
-            // No timing protection: let the dynamic-partitioning DRI
-            // counter see long idle gaps as if they were dummies.
-            if (_lastComplete != 0 &&
-                issueTime > _lastComplete + _idleThreshold) {
-                const Cycles gap = issueTime - _lastComplete;
-                const std::uint64_t n =
-                    std::min<std::uint64_t>(gap / _idleThreshold, 4);
-                for (std::uint64_t i = 0; i < n; ++i)
-                    _oram.policy().onRequestClassified(true);
-            }
-        }
-
-        AccessResult r = _oram.access(addr, op, start);
-        _dataBusy += r.completeAt - r.start;
-        _lastComplete = r.completeAt;
-        return MemoryReply{r.forwardAt};
+        const Cycles forwardAt = issue(addr, op, issueTime);
+        if (record != nullptr)
+            record->push_back(forwardAt);
+        return MemoryReply{forwardAt};
     }
-
-    double dataBusyTime() const { return static_cast<double>(_dataBusy); }
-    std::uint64_t dummiesFired() const { return _dummies; }
-
-    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
-    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
-
-  private:
-    template <class Self, class Ar>
-    static void
-    serde(Self &self, Ar &ar)
-    {
-        ar.u64(self._sinceWatchdog);
-        ar.u64(self._nextSlot);
-        ar.u64(self._lastComplete);
-        ar.u64(self._dataBusy);
-        ar.u64(self._dummies);
-    }
-
-    void
-    fireDummy(Cycles slot)
-    {
-        _oram.dummyAccess(slot);
-        ++_dummies;
-    }
-
-    TinyOram &_oram;
-    bool _tp;
-    Cycles _interval;
-    bool _virtualDummies;
-    std::uint64_t _watchdogInterval;
-    std::uint64_t _sinceWatchdog = 0;
-    Cycles _idleThreshold;
-    Cycles _nextSlot = 0;
-    Cycles _lastComplete = 0;
-    Cycles _dataBusy = 0;
-    std::uint64_t _dummies = 0;
 };
 
 /**
@@ -250,122 +169,40 @@ runSystem(const SystemConfig &cfg,
     RunMetrics m;
     EnergyModel energy(DramEnergy{}, cfg.dramGeometry.channels);
 
-    // Observability hub: null unless the config opts in, so every
-    // hook below stays a single branch on a cold pointer.
-    std::unique_ptr<obs::RunObserver> observer;
-    obs::RunObserver *obsPtr = nullptr;
-    obs::Counter *ckptCounter = nullptr;
-    if (cfg.obs.any()) {
-        observer = std::make_unique<obs::RunObserver>(cfg.obs);
-        obsPtr = observer.get();
-        obsPtr->setTotalAccesses(
-            trace.size() *
-            (cfg.cpu == CpuKind::OutOfOrder ? cfg.cores : 1));
-        if (cfg.obs.metrics)
-            ckptCounter = &obsPtr->registry().counter(
-                obs::kMetricCheckpoints);
-    }
+    // The run frame: the observability hub (null unless the config
+    // opts in, so every hook below stays a single branch on a cold
+    // pointer), the checkpoint cadence and resume.
+    RunFrame frame(cfg.obs,
+                   trace.size() * (cfg.cpu == CpuKind::OutOfOrder
+                                       ? cfg.cores
+                                       : 1),
+                   session, cfg.checkpointInterval,
+                   cfg.interruptAfterAccesses, "accesses");
+    frame.countCheckpoints();
+    obs::RunObserver *const obsPtr = frame.observer();
 
     CpuCursor cursor;
-
-    auto runCpu = [&](MemoryPort &port,
-                      const CpuStepHook &hook) -> CpuRunResult {
-        if (cfg.cpu == CpuKind::InOrder) {
-            InOrderCpu cpu;
-            return cpu.run(trace, port, cursor, hook);
-        }
-        OooCpu cpu(cfg.cores, cfg.window);
-        return cpu.run(
-            perCoreTraces(trace, cfg.cores, cfg.oram.dataBlocks),
-            port, cursor, hook);
-    };
-
-    // The checkpoint hook fires after every completed memory request:
-    // snapshot when the cadence says so, and on a stop request write
-    // one final snapshot and unwind with InterruptedError.  With no
-    // session and no interrupt seam the hook is empty and the CPU
-    // models skip it entirely.
-    using SaveAllFn = std::function<void(ckpt::SnapshotWriter &)>;
-    std::uint64_t lastSnapshotAt = 0;
-    auto makeHook = [&](SaveAllFn saveAll,
-                        std::function<bool()> scrub) -> CpuStepHook {
-        if (session == nullptr && cfg.interruptAfterAccesses == 0 &&
-            obsPtr == nullptr)
-            return CpuStepHook{};
-        return [&cfg, session, &lastSnapshotAt, saveAll, scrub, obsPtr,
-                &ckptCounter](const CpuCursor &cur) {
-            if (obsPtr != nullptr)
-                obsPtr->onAccessBoundary(cur.accessesDone,
-                                         cur.partial.finishTime,
-                                         cur.lastIssue,
-                                         cur.lastForward);
-            const bool stopping =
-                ckpt::stopRequested() ||
-                (cfg.interruptAfterAccesses != 0 &&
-                 cur.accessesDone >= cfg.interruptAfterAccesses);
-            const bool due =
-                session != nullptr && cfg.checkpointInterval != 0 &&
-                cur.accessesDone - lastSnapshotAt >=
-                    cfg.checkpointInterval;
-            if (!stopping && !due)
-                return;
-            if (session != nullptr) {
-                // Scrub-before-commit: a fault can sit latent between
-                // injection and the read that detects it, and a
-                // snapshot taken inside that window would hand tier-3
-                // rollback a poisoned restore point.  Verify (and
-                // shadow-heal) the stored state first; if an
-                // unhealable corruption is present, skip this cadence
-                // commit and keep the last clean generation.
-                if (scrub && !scrub()) {
-                    lastSnapshotAt = cur.accessesDone;
-                    if (obs::TraceSession *t =
-                            obsPtr ? obsPtr->trace() : nullptr)
-                        t->instant(obs::kTrackCheckpoint,
-                                   "checkpoint_skipped",
-                                   cur.partial.finishTime);
-                } else {
-                    ckpt::SnapshotWriter writer;
-                    saveAll(writer);
-                    session->commitSnapshot(writer);
-                    lastSnapshotAt = cur.accessesDone;
-                    if (ckptCounter != nullptr)
-                        ckptCounter->add();
-                    if (obs::TraceSession *t =
-                            obsPtr ? obsPtr->trace() : nullptr)
-                        t->instant(obs::kTrackCheckpoint, "checkpoint",
-                                   cur.partial.finishTime);
-                }
-            }
-            if (stopping)
-                throw InterruptedError(
-                    "run stopped after " +
-                        std::to_string(cur.accessesDone) +
-                        " accesses (final checkpoint written)",
-                    cur.accessesDone);
+    // After every completed memory request: the observer's tick, then
+    // the frame's checkpoint cadence.  With no session, no interrupt
+    // seam and no observer the hook is empty and the CPU models skip
+    // it entirely.
+    CpuStepHook hook;
+    if (!frame.idle())
+        hook = [&frame](const CpuCursor &cur) {
+            if (obs::RunObserver *o = frame.observer())
+                o->onAccessBoundary(cur.accessesDone,
+                                    cur.partial.finishTime,
+                                    cur.lastIssue, cur.lastForward);
+            frame.step(cur.accessesDone, cur.partial.finishTime);
         };
-    };
-
-    struct RecordingPort : MemoryPort
-    {
-        MemoryPort *inner = nullptr;
-        std::vector<Cycles> *out = nullptr;
-
-        MemoryReply
-        request(Addr addr, Op op, Cycles issueTime) override
-        {
-            MemoryReply r = inner->request(addr, op, issueTime);
-            out->push_back(r.forwardAt);
-            return r;
-        }
-    };
-    RecordingPort recorder;
-    auto maybeRecord = [&](MemoryPort &inner) -> MemoryPort & {
-        if (!cfg.recordPerMiss)
-            return inner;
-        recorder.inner = &inner;
-        recorder.out = &m.missRetireTimes;
-        return recorder;
+    auto runCpu = [&](auto issue) -> CpuRunResult {
+        ForwardPort<decltype(issue)> port(
+            issue, cfg.recordPerMiss ? &m.missRetireTimes : nullptr);
+        if (cfg.cpu == CpuKind::InOrder)
+            return InOrderCpu().run(trace, port, cursor, hook);
+        return OooCpu(cfg.cores, cfg.window)
+            .run(perCoreTraces(trace, cfg.cores, cfg.oram.dataBlocks),
+                 port, cursor, hook);
     };
 
     if (cfg.scheme == Scheme::Insecure) {
@@ -374,45 +211,36 @@ runSystem(const SystemConfig &cfg,
         InsecurePort port(mem);
         if (obsPtr != nullptr)
             obsPtr->sealRegistry();
-        auto saveAll = [&](ckpt::SnapshotWriter &w) {
-            cursor.saveState(w.section(ckpt::kSectionCpu));
-            port.saveState(w.section(ckpt::kSectionMem));
-            dram.saveState(w.section(ckpt::kSectionDram));
-            serdeCarried(m, w.section(ckpt::kSectionMetrics));
-            if (obsPtr != nullptr)
-                obsPtr->saveState(w.section(ckpt::kSectionObs));
-        };
-        if (session != nullptr) {
-            if (auto reader = session->loadLatest()) {
+        frame.bind(
+            [&](ckpt::SnapshotWriter &w) {
+                cursor.saveState(w.section(ckpt::kSectionCpu));
+                port.saveState(w.section(ckpt::kSectionMem));
+                dram.saveState(w.section(ckpt::kSectionDram));
+                serdeCarried(m, w.section(ckpt::kSectionMetrics));
+            },
+            [&](const ckpt::SnapshotReader &reader) {
                 // Fetch every section first so a structurally wrong
                 // snapshot is rejected before any state mutates.
-                auto dCpu = reader->section(ckpt::kSectionCpu);
-                auto dMem = reader->section(ckpt::kSectionMem);
-                auto dDram = reader->section(ckpt::kSectionDram);
-                auto dMet = reader->section(ckpt::kSectionMetrics);
+                auto dCpu = reader.section(ckpt::kSectionCpu);
+                auto dMem = reader.section(ckpt::kSectionMem);
+                auto dDram = reader.section(ckpt::kSectionDram);
+                auto dMet = reader.section(ckpt::kSectionMetrics);
                 cursor.loadState(dCpu);
                 port.loadState(dMem);
                 dram.loadState(dDram);
                 serdeCarried(m, dMet);
-                if (obsPtr != nullptr &&
-                    reader->hasSection(ckpt::kSectionObs)) {
-                    auto dObs = reader->section(ckpt::kSectionObs);
-                    obsPtr->loadState(dObs);
-                }
-                lastSnapshotAt = cursor.accessesDone;
-            }
-        }
-        CpuRunResult r =
-            runCpu(maybeRecord(port), makeHook(saveAll, {}));
+                return cursor.accessesDone;
+            });
+        frame.resume();
+        CpuRunResult r = runCpu([&port](Addr a, Op op, Cycles t) {
+            return port.issue(a, op, t);
+        });
         m.execTime = r.finishTime;
         m.dataAccessTime = port.busyTime();
         m.driTime = static_cast<double>(m.execTime) - m.dataAccessTime;
         m.requests = r.reads + r.writes;
         m.energy = energy.totalEnergy(dram.stats(), m.execTime);
-        if (obsPtr != nullptr) {
-            obsPtr->finalSample(cursor.accessesDone, m.execTime);
-            obsPtr->close();
-        }
+        frame.finish(cursor.accessesDone, m.execTime);
         return m;
     }
 
@@ -425,20 +253,6 @@ runSystem(const SystemConfig &cfg,
     // corruption rethrows from the tier-3 loop below.
     obs::FlightRecorder &flight = ctrl.flight();
 
-    Cycles interval = cfg.tpInterval;
-    if (cfg.timingProtection && interval == 0) {
-        // Auto-size: one slot per average request service time
-        // (path read plus the amortised eviction read+write).
-        const Cycles path = oram.estimatePathReadLatency();
-        interval = path +
-                   2 * path / cfg.oram.evictionRate;
-    }
-    if (!cfg.timingProtection && interval == 0)
-        interval = oram.estimatePathReadLatency();
-
-    OramPort port(oram, cfg.timingProtection, interval,
-                  cfg.virtualDummies, cfg.watchdogInterval);
-
     if (obsPtr != nullptr) {
         ctrl.attach(obsPtr);
         if (cfg.obs.metrics) {
@@ -446,31 +260,22 @@ runSystem(const SystemConfig &cfg,
             // Controller counters are polled as gauges: the ORAM hot
             // path keeps its existing OramStats increments and pays
             // nothing extra per access.
-            reg.gauge(obs::kMetricRequests, [&oram] {
-                return static_cast<double>(oram.stats().requests);
-            });
-            reg.gauge(obs::kMetricStashHits, [&oram] {
-                return static_cast<double>(oram.stats().stashHits);
-            });
-            reg.gauge(obs::kMetricPathReads, [&oram] {
-                return static_cast<double>(oram.stats().pathReads);
-            });
-            reg.gauge(obs::kMetricShadowForwards, [&oram] {
-                return static_cast<double>(
-                    oram.stats().shadowForwards);
-            });
-            reg.gauge(obs::kMetricShadowsWritten, [&oram] {
-                return static_cast<double>(
-                    oram.stats().shadowsWritten);
-            });
-            reg.gauge(obs::kMetricFaultsDetected, [&oram] {
-                return static_cast<double>(
-                    oram.stats().faultsDetected);
-            });
-            reg.gauge(obs::kMetricFaultsRecovered, [&oram] {
-                return static_cast<double>(
-                    oram.stats().faultsRecovered);
-            });
+            const auto stat = [&oram](std::uint64_t OramStats::*field) {
+                return [&oram, field] {
+                    return static_cast<double>(oram.stats().*field);
+                };
+            };
+            reg.gauge(obs::kMetricRequests, stat(&OramStats::requests));
+            reg.gauge(obs::kMetricStashHits, stat(&OramStats::stashHits));
+            reg.gauge(obs::kMetricPathReads, stat(&OramStats::pathReads));
+            reg.gauge(obs::kMetricShadowForwards,
+                      stat(&OramStats::shadowForwards));
+            reg.gauge(obs::kMetricShadowsWritten,
+                      stat(&OramStats::shadowsWritten));
+            reg.gauge(obs::kMetricFaultsDetected,
+                      stat(&OramStats::faultsDetected));
+            reg.gauge(obs::kMetricFaultsRecovered,
+                      stat(&OramStats::faultsRecovered));
             reg.gauge(obs::kMetricQuarantinedSlots, [&oram] {
                 return static_cast<double>(
                     oram.health().quarantinedCount());
@@ -478,10 +283,8 @@ runSystem(const SystemConfig &cfg,
             reg.gauge(obs::kMetricDegraded, [&oram] {
                 return oram.health().degraded() ? 1.0 : 0.0;
             });
-            reg.gauge(obs::kMetricDegradedEntries, [&oram] {
-                return static_cast<double>(
-                    oram.stats().degradedEntries);
-            });
+            reg.gauge(obs::kMetricDegradedEntries,
+                      stat(&OramStats::degradedEntries));
             reg.gauge(obs::kMetricRollbacks, [&m] {
                 return static_cast<double>(m.rollbacks);
             });
@@ -523,36 +326,36 @@ runSystem(const SystemConfig &cfg,
         obsPtr->sealRegistry();
     }
 
-    auto saveAll = [&](ckpt::SnapshotWriter &w) {
-        cursor.saveState(w.section(ckpt::kSectionCpu));
-        port.saveState(w.section(ckpt::kSectionPort));
-        ctrl.save(w);
-        serdeCarried(m, w.section(ckpt::kSectionMetrics));
-        flight.saveState(w.section(ckpt::kSectionReqObs));
-        if (obsPtr != nullptr)
-            obsPtr->saveState(w.section(ckpt::kSectionObs));
-    };
-    auto restoreAll = [&](ckpt::SnapshotReader &reader) {
-        // Fetch every section first so a structurally wrong snapshot
-        // is rejected before any state mutates.
-        auto dCpu = reader.section(ckpt::kSectionCpu);
-        auto dPort = reader.section(ckpt::kSectionPort);
-        auto dMet = reader.section(ckpt::kSectionMetrics);
-        ctrl.restore(reader);
-        cursor.loadState(dCpu);
-        port.loadState(dPort);
-        serdeCarried(m, dMet);
-        if (reader.hasSection(ckpt::kSectionReqObs)) {
-            auto dReq = reader.section(ckpt::kSectionReqObs);
-            flight.loadState(dReq);
-        }
-        if (obsPtr != nullptr &&
-            reader.hasSection(ckpt::kSectionObs)) {
-            auto dObs = reader.section(ckpt::kSectionObs);
-            obsPtr->loadState(dObs);
-        }
-        lastSnapshotAt = cursor.accessesDone;
-    };
+    const bool autoRollback =
+        session != nullptr && cfg.maxAutoRollbacks > 0;
+    // Only auto-rollback sessions pay for the pre-commit patrol scrub;
+    // plain checkpointing tolerates latent corruption in a snapshot
+    // because it never restores one mid-run.
+    RunFrame::ScrubFn scrub;
+    if (autoRollback)
+        scrub = [&oram] { return oram.scrubStorage(); };
+    frame.bind(
+        [&](ckpt::SnapshotWriter &w) {
+            cursor.saveState(w.section(ckpt::kSectionCpu));
+            ctrl.save(w);
+            serdeCarried(m, w.section(ckpt::kSectionMetrics));
+            flight.saveState(w.section(ckpt::kSectionReqObs));
+        },
+        [&](const ckpt::SnapshotReader &reader) {
+            // Fetch every section first so a structurally wrong
+            // snapshot is rejected before any state mutates.
+            auto dCpu = reader.section(ckpt::kSectionCpu);
+            auto dMet = reader.section(ckpt::kSectionMetrics);
+            ctrl.restore(reader);
+            cursor.loadState(dCpu);
+            serdeCarried(m, dMet);
+            if (reader.hasSection(ckpt::kSectionReqObs)) {
+                auto dReq = reader.section(ckpt::kSectionReqObs);
+                flight.loadState(dReq);
+            }
+            return cursor.accessesDone;
+        },
+        scrub);
     // Auto-rollback's last line of defense: a fault can corrupt a
     // stored ciphertext long before the next read detects it, so a
     // cadence snapshot taken in that window captures the poison and
@@ -561,27 +364,14 @@ runSystem(const SystemConfig &cfg,
     // image (captured before any resume mutates it) so the ladder can
     // escalate to a clean restart from the trace start.
     std::vector<std::uint8_t> pristineImage;
-    if (session != nullptr && cfg.maxAutoRollbacks > 0) {
-        ckpt::SnapshotWriter writer;
-        saveAll(writer);
-        pristineImage = writer.finish(0, 0);
-    }
-    bool resumed = false;
-    if (session != nullptr) {
-        if (auto reader = session->loadLatest()) {
-            restoreAll(*reader);
-            resumed = true;
-        }
-    }
-    if (session != nullptr && cfg.maxAutoRollbacks > 0 && !resumed) {
+    if (autoRollback)
+        pristineImage = frame.image();
+    const bool resumed = frame.resume();
+    if (autoRollback && !resumed) {
         // Auto-rollback needs a restore point even for corruption
         // that strikes before the first cadence snapshot: commit the
         // pristine access-0 state up front.
-        ckpt::SnapshotWriter writer;
-        saveAll(writer);
-        session->commitSnapshot(writer);
-        if (ckptCounter != nullptr)
-            ckptCounter->add();
+        frame.commit();
     }
 
     // Tier-3 of the recovery ladder: a CorruptionError that escaped
@@ -594,16 +384,12 @@ runSystem(const SystemConfig &cfg,
     // classifier reports it exactly as before.
     unsigned rollbacksUsed = 0;
     std::uint64_t lastFailedAt = std::uint64_t(-1);
-    // Only auto-rollback sessions pay for the pre-commit patrol
-    // scrub; plain checkpointing tolerates latent corruption in a
-    // snapshot because it never restores one mid-run.
-    std::function<bool()> scrubFn;
-    if (session != nullptr && cfg.maxAutoRollbacks > 0)
-        scrubFn = [&oram] { return oram.scrubStorage(); };
     CpuRunResult r;
     for (;;) {
         try {
-            r = runCpu(maybeRecord(port), makeHook(saveAll, scrubFn));
+            r = runCpu([&ctrl](Addr a, Op op, Cycles t) {
+                return ctrl.issue(a, op, t).forwardAt;
+            });
             break;
         } catch (const CorruptionError &) {
             flight.record(cursor.partial.finishTime,
@@ -635,7 +421,7 @@ runSystem(const SystemConfig &cfg,
             // the restore so rollbacks are never undercounted.
             const std::uint64_t priorRollbacks = m.rollbacks;
             const std::uint64_t priorReplayed = m.replayedAccesses;
-            restoreAll(*reader);
+            frame.restore(*reader);
             lastFailedAt = failedAt;
             ++rollbacksUsed;
             m.rollbacks = priorRollbacks + 1;
@@ -647,15 +433,14 @@ runSystem(const SystemConfig &cfg,
             flight.record(cursor.partial.finishTime,
                           obs::FlightKind::AutoRollback,
                           rollbacksUsed, failedAt);
-            if (obs::TraceSession *t =
-                    obsPtr ? obsPtr->trace() : nullptr)
+            if (obs::TraceSession *t = frame.trace())
                 t->instant(obs::kTrackCheckpoint, "auto_rollback",
                            cursor.partial.finishTime);
         }
     }
 
     m.execTime = r.finishTime;
-    m.dataAccessTime = port.dataBusyTime();
+    m.dataAccessTime = static_cast<double>(ctrl.dataBusy());
     m.driTime = static_cast<double>(m.execTime) - m.dataAccessTime;
     if (m.driTime < 0.0)
         m.driTime = 0.0;
@@ -689,10 +474,7 @@ runSystem(const SystemConfig &cfg,
     if (shadowPolicy)
         m.finalPartitionLevel = shadowPolicy->partitionLevel();
     ctrl.publishFlight();
-    if (obsPtr != nullptr) {
-        obsPtr->finalSample(cursor.accessesDone, m.execTime);
-        obsPtr->close();
-    }
+    frame.finish(cursor.accessesDone, m.execTime);
     return m;
 }
 

@@ -87,9 +87,10 @@ struct SystemConfig
 
     /**
      * Test seam: after N memory requests, write a final snapshot (if
-     * a session is attached) and throw InterruptedError — a
-     * deterministic stand-in for SIGKILL/SIGINT arriving mid-run.
-     * 0 disables.  Not part of the point fingerprint.
+     * a session is attached) and throw InterruptedError, whose
+     * message says whether a snapshot was written — a deterministic
+     * stand-in for SIGKILL/SIGINT arriving mid-run.  0 disables.  Not
+     * part of the point fingerprint.
      */
     std::uint64_t interruptAfterAccesses = 0;
 
@@ -172,8 +173,9 @@ RunMetrics runSystem(const SystemConfig &cfg,
  * previous generation, then to a clean start), then periodically
  * persists its full state per SystemConfig::checkpointInterval and on
  * stop signals.  A resumed run produces metrics bit-identical to an
- * uninterrupted one.  Throws InterruptedError after the final
- * snapshot when a stop was requested.
+ * uninterrupted one.  Throws InterruptedError when a stop was
+ * requested, after the final snapshot unless the pre-commit scrub
+ * vetoed it (sim/RunFrame).
  */
 RunMetrics runSystem(const SystemConfig &cfg,
                      const std::vector<LlcMissRecord> &trace,

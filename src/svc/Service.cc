@@ -13,6 +13,7 @@
 #include "obs/Observer.hh"
 #include "obs/Trace.hh"
 #include "sim/Controller.hh"
+#include "sim/RunFrame.hh"
 
 namespace sboram {
 namespace svc {
@@ -50,6 +51,18 @@ memorySystem(const ServiceConfig &cfg)
     return sys;
 }
 
+/** The controller's config: the memory system, issued through a port
+ *  with virtual dummies off (and, by memorySystem()'s defaults, no
+ *  timing protection or watchdog), so every service access is issued
+ *  as a bare ORAM access. */
+SystemConfig
+controllerConfig(const ServiceConfig &cfg)
+{
+    SystemConfig sys = memorySystem(cfg);
+    sys.virtualDummies = false;  // ROADMAP item 1 turns this on.
+    return sys;
+}
+
 /** Exemplars kept per log2 latency bin. */
 constexpr std::size_t kExemplarsPerBin = 4;
 
@@ -71,7 +84,7 @@ struct ServicePipeline::Impl
 
     explicit Impl(const ServiceConfig &c)
         : cfg(c),
-          ctrl(memorySystem(c), Controller::FrontEnd::Service,
+          ctrl(controllerConfig(c), Controller::FrontEnd::Service,
                serviceConfigFingerprint(c)),
           gen(c.arrivals)
     {
@@ -173,17 +186,16 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         pendingValid = true;
     };
 
-    // Observability: identical artifact bytes whether or not anyone
-    // is watching, like sim/System.
-    std::unique_ptr<obs::RunObserver> observer;
-    obs::RunObserver *obsPtr = nullptr;
+    // The run frame owns the observer, the checkpoint cadence and
+    // resume; artifact bytes are identical whether or not anyone is
+    // watching, like sim/System.
+    RunFrame frame(cfg.obs, total, session, cfg.checkpointInterval,
+                   cfg.interruptAfterResolved, "resolved requests");
+    obs::RunObserver *const obsPtr = frame.observer();
     obs::HistogramSink *latencyHist = nullptr;
     obs::Counter *sloBreachCounter = nullptr;
     std::array<obs::HistogramSink *, obs::kStageIdCount> stageHists{};
-    if (cfg.obs.any()) {
-        observer = std::make_unique<obs::RunObserver>(cfg.obs);
-        obsPtr = observer.get();
-        obsPtr->setTotalAccesses(total);
+    if (obsPtr != nullptr) {
         ctrl.attach(obsPtr);
         if (cfg.obs.metrics) {
             obs::MetricRegistry &reg = obsPtr->registry();
@@ -233,7 +245,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         }
         obsPtr->sealRegistry();
     }
-    obs::TraceSession *traceS = obsPtr ? obsPtr->trace() : nullptr;
+    obs::TraceSession *const traceS = frame.trace();
 
     /**
      * Close the open queue-side interval of a request's timeline up
@@ -429,66 +441,24 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         ar.nested(slo);
         ar.nested(flight);
     };
-    std::uint64_t lastSnapshotAt = 0;
-    auto saveAll = [&](ckpt::SnapshotWriter &w) {
-        svcSection(w.section(ckpt::kSectionSvc));
-        reqObsSection(w.section(ckpt::kSectionReqObs));
-        ctrl.save(w);
-        if (obsPtr != nullptr)
-            obsPtr->saveState(w.section(ckpt::kSectionObs));
-    };
-    auto restoreAll = [&](ckpt::SnapshotReader &reader) {
-        // Fetch every section first so a structurally wrong snapshot
-        // is rejected before any state mutates.
-        auto dSvc = reader.section(ckpt::kSectionSvc);
-        auto dReq = reader.section(ckpt::kSectionReqObs);
-        ctrl.restore(reader);
-        svcSection(dSvc);
-        reqObsSection(dReq);
-        obs::forensics().pressure.store(pressureOn ? 1 : 0);
-        if (obsPtr != nullptr &&
-            reader.hasSection(ckpt::kSectionObs)) {
-            auto dObs = reader.section(ckpt::kSectionObs);
-            obsPtr->loadState(dObs);
-        }
-        lastSnapshotAt = resolved;
-    };
-    auto maybeCheckpoint = [&]() {
-        const bool stopping =
-            ckpt::stopRequested() ||
-            (cfg.interruptAfterResolved != 0 &&
-             resolved >= cfg.interruptAfterResolved);
-        const bool due = session != nullptr &&
-                         cfg.checkpointInterval != 0 &&
-                         resolved - lastSnapshotAt >=
-                             cfg.checkpointInterval;
-        if (!stopping && !due)
-            return;
-        if (session != nullptr) {
-            ckpt::SnapshotWriter writer;
-            saveAll(writer);
-            session->commitSnapshot(writer);
-            lastSnapshotAt = resolved;
-            if (traceS != nullptr)
-                traceS->instant(obs::kTrackCheckpoint, "checkpoint",
-                                now);
-        }
-        if (stopping)
-            throw InterruptedError(
-                "service run stopped after " +
-                    std::to_string(resolved) +
-                    " resolved requests (final checkpoint written)",
-                resolved);
-    };
-
-    bool resumed = false;
-    if (session != nullptr) {
-        if (auto reader = session->loadLatest()) {
-            restoreAll(*reader);
-            resumed = true;
-        }
-    }
-    if (!resumed)
+    frame.bind(
+        [&](ckpt::SnapshotWriter &w) {
+            svcSection(w.section(ckpt::kSectionSvc));
+            reqObsSection(w.section(ckpt::kSectionReqObs));
+            ctrl.save(w);
+        },
+        [&](const ckpt::SnapshotReader &reader) {
+            // Fetch every section first so a structurally wrong
+            // snapshot is rejected before any state mutates.
+            auto dSvc = reader.section(ckpt::kSectionSvc);
+            auto dReq = reader.section(ckpt::kSectionReqObs);
+            ctrl.restore(reader);
+            svcSection(dSvc);
+            reqObsSection(dReq);
+            obs::forensics().pressure.store(pressureOn ? 1 : 0);
+            return resolved;
+        });
+    if (!frame.resume())
         pull();
 
     // --- Scheduler loop ---------------------------------------------
@@ -507,7 +477,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             progress = true;
         if (resolved != before) {
             progress = true;  // Admission sheds resolve arrivals.
-            maybeCheckpoint();
+            frame.step(resolved, now);
         }
 
         if (cfg.testForceStall) {
@@ -571,7 +541,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                                   r.seq, r.attempts);
                 }
                 progress = true;
-                maybeCheckpoint();
+                frame.step(resolved, now);
             } else {
                 // Issue the pick; one path access serves the primary
                 // and fans out to every queued same-address reader.
@@ -582,7 +552,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                     _controlLog->push_back({ControlRecord::Kind::Access,
                                             r.addr, r.isWrite, false});
                 const Cycles issueAt = now;
-                const AccessResult res = ctrl.oram().access(
+                const AccessResult res = ctrl.issue(
                     r.addr, r.isWrite ? Op::Write : Op::Read,
                     issueAt);
                 ++stats.issuedAccesses;
@@ -632,7 +602,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                     obsPtr->onAccessBoundary(resolved, now, issueAt,
                                              res.forwardAt);
                 progress = true;
-                maybeCheckpoint();
+                frame.step(resolved, now);
             }
         }
 
@@ -692,10 +662,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
 
     if (session != nullptr)
         session->removeSnapshots();
-    if (obsPtr != nullptr) {
-        obsPtr->finalSample(resolved, now);
-        obsPtr->close();
-    }
+    frame.finish(resolved, now);
     return stats;
 }
 

@@ -103,7 +103,8 @@ struct ServiceConfig
      *  attached; 0 = only on stop signals.  Not fingerprinted. */
     std::uint64_t checkpointInterval = 0;
     /** Test seam: after N resolved requests, write a final snapshot
-     *  and throw InterruptedError.  Not fingerprinted. */
+     *  (if a session is attached) and throw InterruptedError.  Not
+     *  fingerprinted. */
     std::uint64_t interruptAfterResolved = 0;
     /** Test seam: admit arrivals but refuse to issue or advance time,
      *  so the watchdog must fire.  Not fingerprinted. */
@@ -298,7 +299,9 @@ class ServicePipeline
      * every arrival is resolved.  With a session, resumes from the
      * newest valid snapshot and checkpoints per the configured
      * cadence.  Throws ServiceStallError when the watchdog fires and
-     * InterruptedError on a stop request (after a final snapshot).
+     * InterruptedError on a stop request (after a final snapshot when
+     * a session is attached).  Every access issues through the
+     * controller's port (sim/Controller).
      */
     ServiceStats run(ckpt::CheckpointSession *session = nullptr);
 

@@ -2,8 +2,10 @@
  * @file
  * The controller assembly's own contracts: which snapshot sections it
  * owns, that restore() fetches every one of them before it loads any
- * (a snapshot missing one leaves the controller untouched), and how
- * the flight label is resolved and published.
+ * (a snapshot missing one leaves the controller and its port
+ * untouched), that the issue port without timing protection or
+ * virtual dummies is a bare ORAM access, and how the flight label is
+ * resolved and published.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/Serde.hh"
 #include "common/Errors.hh"
+#include "oram/TraceSink.hh"
 #include "sim/Controller.hh"
 
 using namespace sboram;
@@ -44,6 +48,35 @@ drive(Controller &ctrl, unsigned n, unsigned phase)
                 .completeAt;
 }
 
+/** @p n accesses through the port, @p gap idle cycles apart. */
+void
+driveIssue(Controller &ctrl, unsigned n, unsigned phase, Cycles gap)
+{
+    Cycles t = 0;
+    for (unsigned i = 0; i < n; ++i)
+        t = ctrl.issue((i * 5 + phase) % 96,
+                       i % 4 == 0 ? Op::Write : Op::Read, t)
+                .completeAt +
+            gap * (i % 3);
+}
+
+/** FNV-1a over the externally visible path trace. */
+struct HashSink : TraceSink
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t events = 0;
+
+    void
+    onPathAccess(LeafLabel leaf, bool isWrite) override
+    {
+        const std::uint64_t word = leaf * 2 + (isWrite ? 1 : 0);
+        hash = ckpt::fnv1a(
+            reinterpret_cast<const std::uint8_t *>(&word), sizeof(word),
+            hash);
+        ++events;
+    }
+};
+
 std::vector<std::uint8_t>
 image(const Controller &ctrl)
 {
@@ -65,7 +98,8 @@ TEST(Controller, SavesPolicySectionOnlyUnderShadow)
 
     const ckpt::SnapshotReader s(image(shadow));
     const ckpt::SnapshotReader t(image(tiny));
-    for (std::uint32_t id : {ckpt::kSectionOram, ckpt::kSectionDram}) {
+    for (std::uint32_t id :
+         {ckpt::kSectionPort, ckpt::kSectionOram, ckpt::kSectionDram}) {
         EXPECT_TRUE(s.hasSection(id));
         EXPECT_TRUE(t.hasSection(id));
     }
@@ -88,22 +122,100 @@ TEST(Controller, ShadowRestoreRoundTrips)
 
 TEST(Controller, ShadowRestoreLackingPolicyMutatesNothing)
 {
-    Controller ctrl(controllerConfig(Scheme::Shadow),
-                    Controller::FrontEnd::Batch, 1);
-    drive(ctrl, 300, 0);
+    // Timing protection with idle gaps, so the port's slot grid, busy
+    // time and the dummy count are all live state.
+    SystemConfig cfg = controllerConfig(Scheme::Shadow);
+    cfg.timingProtection = true;
+    Controller ctrl(cfg, Controller::FrontEnd::Batch, 1);
+    driveIssue(ctrl, 300, 0, 4000);
+    ASSERT_GT(ctrl.oram().stats().dummyAccesses, 0u);
     const std::vector<std::uint8_t> before = image(ctrl);
 
     // A Tiny controller of the same geometry, driven differently:
-    // its ORAM and DRAM sections would load, but it has no policy
-    // section, so the restore must fail before touching either.
-    Controller tiny(controllerConfig(Scheme::Tiny),
-                    Controller::FrontEnd::Batch, 1);
-    drive(tiny, 200, 5);
+    // its port, ORAM and DRAM sections would load, but it has no
+    // policy section, so the restore must fail before touching any.
+    cfg.scheme = Scheme::Tiny;
+    Controller tiny(cfg, Controller::FrontEnd::Batch, 1);
+    driveIssue(tiny, 200, 5, 9000);
     const ckpt::SnapshotReader reader(image(tiny));
     ASSERT_FALSE(reader.hasSection(ckpt::kSectionPolicy));
+    const ckpt::SnapshotReader mine(before);
+    const auto portBytes = [](const ckpt::SnapshotReader &r) {
+        ckpt::Deserializer d = r.section(ckpt::kSectionPort);
+        std::vector<std::uint8_t> b(d.remaining());
+        d.bytes(b.data(), b.size());
+        return b;
+    };
+    ASSERT_NE(portBytes(reader), portBytes(mine));
 
     EXPECT_THROW(ctrl.restore(reader), CkptMismatchError);
     EXPECT_EQ(image(ctrl), before);
+}
+
+TEST(Controller, PortDummyCountMustMatchTheOram)
+{
+    SystemConfig cfg = controllerConfig(Scheme::Tiny);
+    cfg.timingProtection = true;
+    Controller source(cfg, Controller::FrontEnd::Batch, 1);
+    driveIssue(source, 100, 0, 4000);
+    ASSERT_GT(source.oram().stats().dummyAccesses, 0u);
+    const ckpt::SnapshotReader saved(image(source));
+
+    // Rebuild the snapshot with the port's fifth word, the dummy
+    // count, one higher than the ORAM section's.
+    ckpt::SnapshotWriter forged;
+    for (std::uint32_t id :
+         {ckpt::kSectionPort, ckpt::kSectionOram, ckpt::kSectionDram}) {
+        ckpt::Deserializer d = saved.section(id);
+        std::vector<std::uint8_t> b(d.remaining());
+        d.bytes(b.data(), b.size());
+        if (id == ckpt::kSectionPort) {
+            ASSERT_EQ(b.size(), 5u * 8u);
+            ++b[4 * 8];
+        }
+        forged.section(id).bytes(b.data(), b.size());
+    }
+    Controller target(cfg, Controller::FrontEnd::Batch, 1);
+    EXPECT_THROW(target.restore(ckpt::SnapshotReader(forged.finish(0, 0))),
+                 CkptMismatchError);
+    EXPECT_NO_THROW(target.restore(saved));
+    EXPECT_EQ(image(target), image(source));
+}
+
+TEST(Controller, IssueWithoutTimingProtectionEqualsDirectAccess)
+{
+    SystemConfig cfg = controllerConfig(Scheme::Shadow);
+    cfg.virtualDummies = false;
+    Controller port(cfg, Controller::FrontEnd::Batch, 1);
+    Controller direct(cfg, Controller::FrontEnd::Batch, 1);
+    HashSink portTrace;
+    HashSink directTrace;
+    port.oram().setTraceSink(&portTrace);
+    direct.oram().setTraceSink(&directTrace);
+
+    Cycles t = 0;
+    unsigned stashHits = 0;
+    for (unsigned i = 0; i < 600; ++i) {
+        const Addr addr = (i * 7 + i / 50) % 80;
+        const Op op = i % 3 == 0 ? Op::Write : Op::Read;
+        const AccessResult a = port.issue(addr, op, t);
+        const AccessResult b = direct.oram().access(addr, op, t);
+        ASSERT_EQ(a.start, b.start) << i;
+        ASSERT_EQ(a.forwardAt, b.forwardAt) << i;
+        ASSERT_EQ(a.completeAt, b.completeAt) << i;
+        ASSERT_EQ(a.stashHit, b.stashHit) << i;
+        ASSERT_EQ(a.onChipHit, b.onChipHit) << i;
+        ASSERT_EQ(a.usedShadow, b.usedShadow) << i;
+        ASSERT_EQ(a.forwardLevel, b.forwardLevel) << i;
+        ASSERT_EQ(a.pathAccesses, b.pathAccesses) << i;
+        stashHits += a.stashHit ? 1 : 0;
+        t = a.completeAt + (i % 5) * 3000;
+    }
+    EXPECT_GT(stashHits, 0u);
+    EXPECT_GT(portTrace.events, 0u);
+    EXPECT_EQ(portTrace.events, directTrace.events);
+    EXPECT_EQ(portTrace.hash, directTrace.hash);
+    EXPECT_EQ(port.oram().stats().dummyAccesses, 0u);
 }
 
 TEST(Controller, TinyRestoreNeverAsksForThePolicySection)

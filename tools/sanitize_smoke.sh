@@ -1,6 +1,7 @@
 #!/bin/sh
-# Build the fault, checkpoint, stash, controller, dup-queue and
-# histogram tests under ASan/UBSan in a nested build tree and run them.  Registered as the
+# Build the fault, checkpoint, stash, controller, dup-queue,
+# histogram and run-frame tests under ASan/UBSan in a nested build
+# tree and run them.  Registered as the
 # `sanitize_smoke` ctest (tests/), which builds under its own build
 # tree; also usable standalone:
 #
@@ -29,7 +30,10 @@
 # latency samples travel across kill-and-resume in the service
 # snapshot.  The experiment runner hands each result through a shared
 # promise that the task and its future co-own, on the inline and the
-# pooled path.
+# pooled path.  The controller's issue port fires timing-protection
+# dummies and saves and restores its own section beside the ORAM's,
+# and the run frame holds the loops' save, load and scrub callbacks
+# by reference into stack frames that a stop unwinds.
 #
 # The nested tree builds at -O1 -g1 (the level ASan's docs recommend:
 # every check stays, and the whole smoke takes about half as long as
@@ -71,10 +75,11 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
 # exactly the code where an off-by-one lane index would otherwise
 # scribble silently.  Short traces keep the sanitized run fast.  The
 # runner suite adds the promise lifetime (inline and pooled), thrown
-# tasks and immediate retries.
+# tasks and immediate retries; the controller and cadence suites add
+# the issue port, its section and the scrub veto.
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
     "$BUILD_DIR/tests/test_sim" \
-    --gtest_filter='System.DeterministicAcrossRuns:ExperimentRunner.*'
+    --gtest_filter='System.DeterministicAcrossRuns:ExperimentRunner.*:Controller.*:RunFrameCadence.*'
 
 # The chaos harness exercises the whole recovery ladder — corruption
 # of live ciphertext, scrub-and-heal rewrites, snapshot restore into
@@ -98,7 +103,8 @@ ASan/UBSan         sanitize_smoke  fault + scrub + checkpoint +
                                    controller read/write phases +
                                    dup-queue sort + histogram loader +
                                    latency-sample resume + runner
-                                   promise/retry memory safety
+                                   promise/retry + issue port and
+                                   run-frame cadence memory safety
 ThreadSanitizer    tsan_smoke      runner pool / future handoff races
 sblint             sblint_smoke    determinism/obliviousness/serde
                                    contracts (zero unsuppressed)
