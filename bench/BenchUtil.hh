@@ -151,13 +151,6 @@ getChecked(const Future<RunMetrics> &future, const std::string &label)
     return m;
 }
 
-/** Run one (config, workload) point synchronously (legacy helper). */
-inline RunMetrics
-runPoint(const SystemConfig &cfg, const std::string &workload)
-{
-    return submitPoint(cfg, workload).get();
-}
-
 /**
  * Paper-style normalized Data/Interval decomposition of a run,
  * normalized to a baseline's total execution time (Figs. 8/9/10/13/14).

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 
+#include "ckpt/Serde.hh"
+#include "common/Errors.hh"
 #include "common/Types.hh"
 #include "mem/AddressMap.hh"
 #include "mem/DramModel.hh"
@@ -46,20 +48,46 @@ class InsecureMemory
         const Cycles done = _dram.accessSingle(
             start + _frontEndLatency, _map.mapFlat(addr),
             op == Op::Write);
+        _busy += done - start;
         _freeAt = done;
         return Result{done, done};
     }
 
     Cycles freeAt() const { return _freeAt; }
 
-    /** Restore the controller's only mutable state (ckpt resume). */
-    void restoreFreeAt(Cycles t) { _freeAt = t; }
+    /** Cycles spent serving requests (paper Eq. 1's data access
+     *  time). */
+    Cycles busy() const { return _busy; }
+
+    /** Checkpoint the busy time and the free-at cycle (kSectionMem). */
+    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
+    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
 
   private:
+    /** Three words: busy time, last completion and free-at.  The last
+     *  completion is always the free-at cycle; a section whose two
+     *  copies disagree is rejected. */
+    template <class Self, class Ar>
+    static void
+    serde(Self &self, Ar &ar)
+    {
+        ar.u64(self._busy);
+        Cycles lastComplete = self._freeAt;
+        ar.u64(lastComplete);
+        ar.u64(self._freeAt);
+        if constexpr (Ar::kLoading) {
+            if (lastComplete != self._freeAt)
+                throw CkptMismatchError("the insecure memory's last "
+                                        "completion and free-at cycle "
+                                        "disagree");
+        }
+    }
+
     DramModel &_dram;
     AddressMap _map;
     Cycles _frontEndLatency;
     Cycles _freeAt = 0;
+    Cycles _busy = 0;
 };
 
 } // namespace sboram

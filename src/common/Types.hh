@@ -46,6 +46,9 @@ using Cycles = std::uint64_t;
 /** Simulated energy in picojoules. */
 using PicoJoules = double;
 
+/** Size of one ORAM block, and of one cache line (Table I). */
+inline constexpr std::uint64_t kBlockBytes = 64;
+
 /** Sentinel for "no address". */
 inline constexpr Addr kInvalidAddr = ~static_cast<Addr>(0);
 

@@ -128,12 +128,6 @@ FaultInjector::rekey()
 }
 
 void
-FaultInjector::reseed()
-{
-    reseedTo(0);
-}
-
-void
 FaultInjector::reseedTo(std::uint32_t minGeneration)
 {
     _reseeds = std::max(_reseeds + 1, minGeneration);
@@ -220,8 +214,6 @@ FaultInjector::corrupt(CipherRef ct, std::uint64_t accessCount,
         ++_stats.stuckBits;
         break;
     }
-    if (_observer)
-        _observer(kind, slotIdx, false);
 }
 
 bool
@@ -242,8 +234,6 @@ FaultInjector::onSlotRewritten(std::uint64_t slotIdx, CipherRef ct)
     ++_stats.stuckReapplied;
     if (--cell.remaining == 0)
         _stuck.erase(it);
-    if (_observer)
-        _observer(FaultKind::StuckBit, slotIdx, true);
     return true;
 }
 

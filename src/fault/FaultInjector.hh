@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -118,22 +117,10 @@ struct FaultStats
 class FaultInjector
 {
   public:
-    /**
-     * Optional observer invoked after every injected corruption:
-     * (kind, slotIdx, reapplied).  @p reapplied is true when the
-     * corruption came from an armed stuck cell on a rewrite rather
-     * than a freshly scheduled fault.  Used by the obs layer to emit
-     * trace instant events; must not mutate simulation state.
-     */
-    using Observer =
-        std::function<void(FaultKind, std::uint64_t, bool)>;
-
     explicit FaultInjector(const FaultConfig &cfg);
 
     const FaultConfig &config() const { return _cfg; }
     const FaultStats &stats() const { return _stats; }
-
-    void setObserver(Observer obs) { _observer = std::move(obs); }
 
     /** Deterministic: does access #n draw a fault? */
     bool shouldInject(std::uint64_t accessCount) const;
@@ -146,18 +133,14 @@ class FaultInjector
      * Shift to an independent fault realization (tier-3 rollback):
      * replaying the cursor from a snapshot would otherwise re-inject
      * the exact fault that was unrecoverable, looping forever.  The
-     * reseed generation is serialized so kill-and-resume replays the
-     * same post-rollback schedule.
-     */
-    void reseed();
-
-    /**
-     * reseed(), but additionally floors the resulting generation at
-     * @p minGeneration.  Restoring a snapshot rewinds the serialized
+     * new generation is one past the current one, floored at
+     * @p minGeneration: restoring a snapshot rewinds the serialized
      * generation counter, so consecutive rollbacks to the same
      * snapshot would otherwise replay the same already-failed
      * realization; the caller passes its rollback count to guarantee
-     * every attempt faces a schedule it has not seen.
+     * every attempt faces a schedule it has not seen.  The generation
+     * is serialized so kill-and-resume replays the same post-rollback
+     * schedule.
      */
     void reseedTo(std::uint32_t minGeneration);
 
@@ -253,7 +236,6 @@ class FaultInjector
     std::uint32_t _reseeds = 0;
     std::unordered_map<std::uint64_t, StuckCell> _stuck;
     FaultStats _stats;
-    Observer _observer;
 };
 
 } // namespace sboram

@@ -1,45 +1,9 @@
 #include "RecoveryManager.hh"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "common/Errors.hh"
 #include "common/Logging.hh"
 
 namespace sboram {
-
-namespace {
-
-bool
-envUnsigned(const char *name, unsigned &out)
-{
-    // sblint:allow-next-line(ambient-nondeterminism): operator config knob read once at startup, not simulated randomness
-    const char *v = std::getenv(name);
-    if (!v)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0' || errno == ERANGE ||
-        parsed > 0xffffffffULL) {
-        SB_WARN("ignoring invalid %s='%s' (want a small integer)",
-                name, v);
-        return false;
-    }
-    out = static_cast<unsigned>(parsed);
-    return true;
-}
-
-} // namespace
-
-HealthConfig
-HealthConfig::fromEnv(HealthConfig base)
-{
-    envUnsigned("SB_HEALTH_QUARANTINE", base.quarantineThreshold);
-    envUnsigned("SB_HEALTH_HIGH_WATERMARK", base.stashHighWatermark);
-    envUnsigned("SB_HEALTH_LOW_WATERMARK", base.stashLowWatermark);
-    return base;
-}
 
 RecoveryManager::RecoveryManager(const HealthConfig &cfg,
                                  std::uint64_t numSlots)

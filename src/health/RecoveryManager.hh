@@ -81,10 +81,6 @@ struct HealthConfig
     {
         return quarantineEnabled() || backpressureEnabled();
     }
-
-    /** Overlay SB_HEALTH_QUARANTINE / SB_HEALTH_HIGH_WATERMARK /
-     *  SB_HEALTH_LOW_WATERMARK onto @p base. */
-    static HealthConfig fromEnv(HealthConfig base);
 };
 
 /**

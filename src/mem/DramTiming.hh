@@ -41,7 +41,7 @@ struct DramTiming
     Cycles tRRD = 4 * 3;   ///< Activate to activate, same rank.
 
     /** Construct the DDR3-1333 preset used throughout the paper. */
-    static DramTiming
+    static constexpr DramTiming
     ddr3_1333()
     {
         return DramTiming{};
@@ -55,7 +55,7 @@ struct DramGeometry
     unsigned ranksPerChannel = 2;
     unsigned banksPerRank = 8;
     std::uint64_t rowBytes = 8192;  ///< Row buffer per bank.
-    std::uint64_t blockBytes = 64;  ///< ORAM block size (Table I).
+    static constexpr std::uint64_t blockBytes = kBlockBytes;
 
     std::uint64_t
     blocksPerRow() const

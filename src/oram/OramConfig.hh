@@ -2,10 +2,12 @@
  * @file
  * Configuration and derived geometry of the Tiny ORAM controller.
  *
- * Defaults follow Table I of the paper: 64 B blocks, Z = 5 slots per
- * bucket, eviction rate A = 5, 50 % DRAM utilisation, 64 KB PLB,
- * AES-128 latency 32 cycles.  The data capacity is configurable; the
- * paper's 4 GB (L = 24) is supported but benchmarks default to a
+ * Defaults follow Table I of the paper: Z = 5 slots per bucket,
+ * eviction rate A = 5, 50 % DRAM utilisation, 64 KB PLB.  The
+ * platform values the paper never varies are constants: 64 B blocks
+ * (kBlockBytes), the 32-cycle AES-128 latency, the stash CAM hit and
+ * the on-chip pipeline latency.  The data capacity is configurable;
+ * the paper's 4 GB (L = 24) is supported but benchmarks default to a
  * scaled 64 MB tree (L = 18) — see DESIGN.md.
  */
 
@@ -32,7 +34,7 @@ struct OramConfig
 {
     /** Number of program data blocks stored in the ORAM. */
     std::uint64_t dataBlocks = std::uint64_t(1) << 20;
-    std::uint64_t blockBytes = 64;
+    static constexpr std::uint64_t blockBytes = kBlockBytes;
     unsigned slotsPerBucket = 5;   ///< Z (Table I).
     unsigned evictionRate = 5;     ///< A (Table I).
     double utilization = 0.5;      ///< Valid blocks / total slots.
@@ -66,9 +68,9 @@ struct OramConfig
      */
     bool recirculateShadows = true;
 
-    Cycles aesLatency = 32;      ///< Table I.
-    Cycles stashHitLatency = 2;  ///< CAM lookup.
-    Cycles onChipLatency = 10;   ///< Treetop / controller pipeline.
+    static constexpr Cycles aesLatency = 32;      ///< Table I.
+    static constexpr Cycles stashHitLatency = 2;  ///< CAM lookup.
+    static constexpr Cycles onChipLatency = 10;   ///< Treetop / pipeline.
 
     /**
      * Deterministic fault injection into the untrusted memory

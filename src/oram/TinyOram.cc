@@ -57,26 +57,6 @@ TinyOram::TinyOram(const OramConfig &cfg, DramModel &dram,
     initializeTree();
 }
 
-void
-TinyOram::setObserver(obs::RunObserver *obs)
-{
-    _obs = obs;
-    if (!_faults)
-        return;
-    if (obs == nullptr) {
-        _faults->setObserver(FaultInjector::Observer{});
-        return;
-    }
-    _faults->setObserver([this](FaultKind, std::uint64_t,
-                                bool reapplied) {
-        if (obs::TraceSession *t = trace())
-            t->instant(_obsPathTrack,
-                       reapplied ? "fault_stuck_reapplied"
-                                 : "fault_injected",
-                       _obsPathStart);
-    });
-}
-
 SB_HOT obs::TraceSession *
 TinyOram::trace() const
 {
@@ -250,6 +230,8 @@ TinyOram::maybeInjectFaults(LeafLabel leaf)
     _faults->corrupt(_tree.cipherRef(slotIdx), tick,
                      _faults->pickKind(tick), slotIdx);
     ++_stats.faultsInjected;
+    if (obs::TraceSession *t = trace())
+        t->instant(_obsPathTrack, "fault_injected", _obsPathStart);
 }
 
 bool
@@ -413,6 +395,10 @@ TinyOram::reapplyStuckCell(std::uint64_t slotIdx)
         !_faults->onSlotRewritten(slotIdx, _tree.cipherRef(slotIdx)))
         return false;
     ++_stats.faultsInjected;
+    // Stamped with the last path access's start, also when the scrub
+    // re-applies the cell outside any path access.
+    if (obs::TraceSession *t = trace())
+        t->instant(_obsPathTrack, "fault_stuck_reapplied", _obsPathStart);
     return true;
 }
 

@@ -173,11 +173,10 @@ class TinyOram
     /**
      * Attach the run's observability hub (trace spans + instant
      * events).  Null (the default) disables every hook: each site is
-     * a single branch on this pointer, like _traceSink.  Also hooks
-     * the fault injector so planted corruptions show up as trace
-     * instants.
+     * a single branch on this pointer, like _traceSink.  Planted and
+     * re-applied faults show up as trace instants.
      */
-    void setObserver(obs::RunObserver *obs);
+    void setObserver(obs::RunObserver *obs) { _obs = obs; }
 
     /**
      * Attach a flight recorder for recovery-ladder events (slot

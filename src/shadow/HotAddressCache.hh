@@ -20,11 +20,15 @@
 
 namespace sboram {
 
+/** The paper's size: 1 KB at ~8 B per entry (Section V-C). */
+inline constexpr unsigned kHotCacheEntries = 128;
+inline constexpr unsigned kHotCacheAssoc = 4;
+
 class HotAddressCache
 {
   public:
-    explicit HotAddressCache(unsigned entries = 128,
-                             unsigned associativity = 4);
+    explicit HotAddressCache(unsigned entries = kHotCacheEntries,
+                             unsigned associativity = kHotCacheAssoc);
 
     /** Record an LLC miss: bump the counter, inserting if needed. */
     void touch(Addr addr);

@@ -27,7 +27,7 @@ makePartition(const ShadowConfig &cfg, unsigned leafLevel)
 
 ShadowPolicy::ShadowPolicy(const ShadowConfig &cfg, unsigned leafLevel)
     : _cfg(cfg), _leafLevel(leafLevel),
-      _hot(cfg.hotCacheEntries, cfg.hotCacheAssoc),
+      _hot(kHotCacheEntries, kHotCacheAssoc),
       _partition(makePartition(cfg, leafLevel)),
       _rdQueue(DupQueue::Rank::ByLevelDesc),
       _hdQueue(DupQueue::Rank::ByHotnessDesc)

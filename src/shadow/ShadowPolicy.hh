@@ -38,8 +38,6 @@ struct ShadowConfig
     ShadowMode mode = ShadowMode::DynamicPartition;
     unsigned staticLevel = 7;      ///< For StaticPartition.
     unsigned driCounterBits = 3;   ///< For DynamicPartition.
-    unsigned hotCacheEntries = 128;///< 1 KB at ~8 B/entry (paper V-C).
-    unsigned hotCacheAssoc = 4;
     /** Allow several shadow copies of one candidate per path write
      *  (queue refill on exhaustion).  Off = ablation. */
     bool refillQueues = true;

@@ -12,7 +12,7 @@ namespace sboram {
 
 Controller::Controller(const SystemConfig &cfg, FrontEnd front,
                        std::uint64_t fingerprint)
-    : _dram(cfg.dramTiming, cfg.dramGeometry),
+    : _dram(SystemConfig::dramTiming, SystemConfig::dramGeometry),
       _oram(cfg.oram, _dram,
             cfg.scheme == Scheme::Shadow
                 ? std::make_unique<ShadowPolicy>(cfg.shadow,

@@ -37,9 +37,11 @@ class Controller
     enum class FrontEnd : std::uint8_t { Batch, Service };
 
     /**
-     * Build DRAM, the ShadowPolicy (Scheme::Shadow only) and the ORAM
-     * from the memory-system fields of @p cfg (scheme, oram, shadow,
-     * dramTiming, dramGeometry), the port from its timing fields
+     * Build DRAM from the fixed DDR3-1333 constants
+     * (SystemConfig::dramTiming, dramGeometry), the ShadowPolicy
+     * (Scheme::Shadow only) and the ORAM from the memory-system
+     * fields of @p cfg (scheme, oram, shadow), the port from its
+     * timing fields
      * (timingProtection, tpInterval, virtualDummies,
      * watchdogInterval), and attach the flight recorder.  The flight
      * label is cfg.obs.label when set, else the front end's prefix

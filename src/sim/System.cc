@@ -1,6 +1,5 @@
 #include "System.hh"
 
-#include <algorithm>
 #include <memory>
 
 #include "baseline/InsecureMemory.hh"
@@ -15,46 +14,6 @@
 namespace sboram {
 
 namespace {
-
-/** Front end over the insecure DRAM system. */
-class InsecurePort
-{
-  public:
-    explicit InsecurePort(InsecureMemory &mem) : _mem(mem) {}
-
-    /** Serve one request; returns its data-forward cycle. */
-    Cycles
-    issue(Addr addr, Op op, Cycles issueTime)
-    {
-        InsecureMemory::Result r = _mem.access(addr, op, issueTime);
-        _busy += r.completeAt -
-                 std::max(issueTime, _lastComplete);
-        _lastComplete = r.completeAt;
-        return r.forwardAt;
-    }
-
-    double busyTime() const { return static_cast<double>(_busy); }
-
-    void saveState(ckpt::Serializer &out) const { serde(*this, out); }
-    void loadState(ckpt::Deserializer &in) { serde(*this, in); }
-
-  private:
-    template <class Self, class Ar>
-    static void
-    serde(Self &self, Ar &ar)
-    {
-        ar.u64(self._busy);
-        ar.u64(self._lastComplete);
-        Cycles freeAt = self._mem.freeAt();
-        ar.u64(freeAt);
-        if constexpr (Ar::kLoading)
-            self._mem.restoreFreeAt(freeAt);
-    }
-
-    InsecureMemory &_mem;
-    Cycles _busy = 0;
-    Cycles _lastComplete = 0;
-};
 
 /** The CPU model's memory port: forwards each request to the front
  *  end's issue call and, under recordPerMiss, logs its forward time. */
@@ -167,7 +126,7 @@ runSystem(const SystemConfig &cfg,
         rec.addr %= cfg.oram.dataBlocks;
 
     RunMetrics m;
-    EnergyModel energy(DramEnergy{}, cfg.dramGeometry.channels);
+    EnergyModel energy(DramEnergy{}, SystemConfig::dramGeometry.channels);
 
     // The run frame: the observability hub (null unless the config
     // opts in, so every hook below stays a single branch on a cold
@@ -206,15 +165,14 @@ runSystem(const SystemConfig &cfg,
     };
 
     if (cfg.scheme == Scheme::Insecure) {
-        DramModel dram(cfg.dramTiming, cfg.dramGeometry);
+        DramModel dram(SystemConfig::dramTiming, SystemConfig::dramGeometry);
         InsecureMemory mem(dram);
-        InsecurePort port(mem);
         if (obsPtr != nullptr)
             obsPtr->sealRegistry();
         frame.bind(
             [&](ckpt::SnapshotWriter &w) {
                 cursor.saveState(w.section(ckpt::kSectionCpu));
-                port.saveState(w.section(ckpt::kSectionMem));
+                mem.saveState(w.section(ckpt::kSectionMem));
                 dram.saveState(w.section(ckpt::kSectionDram));
                 serdeCarried(m, w.section(ckpt::kSectionMetrics));
             },
@@ -226,17 +184,17 @@ runSystem(const SystemConfig &cfg,
                 auto dDram = reader.section(ckpt::kSectionDram);
                 auto dMet = reader.section(ckpt::kSectionMetrics);
                 cursor.loadState(dCpu);
-                port.loadState(dMem);
+                mem.loadState(dMem);
                 dram.loadState(dDram);
                 serdeCarried(m, dMet);
                 return cursor.accessesDone;
             });
         frame.resume();
-        CpuRunResult r = runCpu([&port](Addr a, Op op, Cycles t) {
-            return port.issue(a, op, t);
+        CpuRunResult r = runCpu([&mem](Addr a, Op op, Cycles t) {
+            return mem.access(a, op, t).forwardAt;
         });
         m.execTime = r.finishTime;
-        m.dataAccessTime = port.busyTime();
+        m.dataAccessTime = static_cast<double>(mem.busy());
         m.driTime = static_cast<double>(m.execTime) - m.dataAccessTime;
         m.requests = r.reads + r.writes;
         m.energy = energy.totalEnergy(dram.stats(), m.execTime);
@@ -488,12 +446,14 @@ runWorkload(const SystemConfig &cfg, const std::string &workload,
 std::uint64_t
 configFingerprint(const SystemConfig &cfg)
 {
+    // The Table I constants (block size, latencies, hot-cache size,
+    // DRAM) keep their words, so every fingerprint keeps its bytes.
     ckpt::Serializer s;
     s.u8(static_cast<std::uint8_t>(cfg.scheme));
 
     const OramConfig &o = cfg.oram;
     s.u64(o.dataBlocks);
-    s.u64(o.blockBytes);
+    s.u64(kBlockBytes);
     s.u32(o.slotsPerBucket);
     s.u32(o.evictionRate);
     s.f64(o.utilization);
@@ -506,9 +466,9 @@ configFingerprint(const SystemConfig &cfg)
     s.u8(o.payloadEnabled ? 1 : 0);
     s.u8(o.serveFromShadow ? 1 : 0);
     s.u8(o.recirculateShadows ? 1 : 0);
-    s.u64(o.aesLatency);
-    s.u64(o.stashHitLatency);
-    s.u64(o.onChipLatency);
+    s.u64(OramConfig::aesLatency);
+    s.u64(OramConfig::stashHitLatency);
+    s.u64(OramConfig::onChipLatency);
     s.f64(o.fault.rate);
     s.u64(o.fault.seed);
     s.u8(o.fault.bitFlips ? 1 : 0);
@@ -529,11 +489,11 @@ configFingerprint(const SystemConfig &cfg)
     s.u8(static_cast<std::uint8_t>(sh.mode));
     s.u32(sh.staticLevel);
     s.u32(sh.driCounterBits);
-    s.u32(sh.hotCacheEntries);
-    s.u32(sh.hotCacheAssoc);
+    s.u32(kHotCacheEntries);
+    s.u32(kHotCacheAssoc);
     s.u8(sh.refillQueues ? 1 : 0);
 
-    const DramTiming &t = cfg.dramTiming;
+    const DramTiming &t = SystemConfig::dramTiming;
     s.u64(t.cpuPerMemClk);
     s.u64(t.tCL);
     s.u64(t.tCWL);
@@ -548,12 +508,12 @@ configFingerprint(const SystemConfig &cfg)
     s.u64(t.tWR);
     s.u64(t.tRRD);
 
-    const DramGeometry &g = cfg.dramGeometry;
+    const DramGeometry &g = SystemConfig::dramGeometry;
     s.u32(g.channels);
     s.u32(g.ranksPerChannel);
     s.u32(g.banksPerRank);
     s.u64(g.rowBytes);
-    s.u64(g.blockBytes);
+    s.u64(kBlockBytes);
 
     s.u8(cfg.timingProtection ? 1 : 0);
     s.u64(cfg.tpInterval);

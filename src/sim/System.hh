@@ -49,8 +49,10 @@ struct SystemConfig
     Scheme scheme = Scheme::Tiny;
     OramConfig oram;
     ShadowConfig shadow;
-    DramTiming dramTiming = DramTiming::ddr3_1333();
-    DramGeometry dramGeometry;
+    /** DDR3-1333 on 2 channels x 2 ranks x 8 banks, 8 KB rows
+     *  (Table I): fixed, so every run models the same memory. */
+    static constexpr DramTiming dramTiming = DramTiming::ddr3_1333();
+    static constexpr DramGeometry dramGeometry{};
 
     bool timingProtection = false;
     /** Fixed request rate in cycles; 0 = auto from path latency. */

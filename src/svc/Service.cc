@@ -45,8 +45,6 @@ memorySystem(const ServiceConfig &cfg)
     sys.scheme = cfg.scheme;
     sys.oram = cfg.oram;
     sys.shadow = cfg.shadow;
-    sys.dramTiming = cfg.dramTiming;
-    sys.dramGeometry = cfg.dramGeometry;
     sys.obs = cfg.obs;
     return sys;
 }
@@ -335,26 +333,21 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             ++stats.shadowEarlyCompletions;
         if (latencyHist != nullptr)
             latencyHist->sample(static_cast<double>(lat));
-        if (r.timelineSlot >= 0) {
-            const std::uint32_t slot =
-                static_cast<std::uint32_t>(r.timelineSlot);
-            const obs::TimelineRecord &rec = pool.at(slot);
-            // The timeline is exact by construction: the stage totals
-            // of a completion must reproduce its measured latency.
-            if (rec.totalAll() != lat)
-                ++stats.stageBalanceViolations;
-            exemplars.offer(rec, lat, usedShadow, r.attempts);
-            for (std::size_t i = 0; i < obs::kStageIdCount; ++i) {
-                const Cycles t =
-                    rec.total(static_cast<obs::StageId>(i));
-                if (t == 0)
-                    continue;
-                stageSamples[i].add(t);
-                if (stageHists[i] != nullptr)
-                    stageHists[i]->sample(static_cast<double>(t));
-            }
-            pool.release(slot);
+        const obs::TimelineRecord &rec = pool.at(r.timelineSlot);
+        // The timeline is exact by construction: the stage totals of
+        // a completion must reproduce its measured latency.
+        if (rec.totalAll() != lat)
+            ++stats.stageBalanceViolations;
+        exemplars.offer(rec, lat, usedShadow, r.attempts);
+        for (std::size_t i = 0; i < obs::kStageIdCount; ++i) {
+            const Cycles t = rec.total(static_cast<obs::StageId>(i));
+            if (t == 0)
+                continue;
+            stageSamples[i].add(t);
+            if (stageHists[i] != nullptr)
+                stageHists[i]->sample(static_cast<double>(t));
         }
+        pool.release(r.timelineSlot);
         noteSloBurn(slo.onResolved(slo.isGood(lat)));
         if (traceS != nullptr)
             traceS->complete(obs::kTrackService, "request",
@@ -380,9 +373,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                 r.arrival = pending.arrival;
                 r.notBefore = pending.arrival;
                 r.deadlineAt = pending.arrival + cfg.deadline;
-                r.timelineSlot =
-                    static_cast<std::int32_t>(pool.acquire());
-                pool.at(static_cast<std::uint32_t>(r.timelineSlot))
+                r.timelineSlot = pool.acquire();
+                pool.at(r.timelineSlot)
                     .reset(r.seq, r.client, r.addr, r.arrival);
                 queue.push_back(r);
                 ++stats.admitted;
@@ -430,10 +422,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                       queue.size());
         for (Request &r : queue) {
             if constexpr (loading)
-                r.timelineSlot =
-                    static_cast<std::int32_t>(pool.acquire());
-            ar.nested(
-                pool.at(static_cast<std::uint32_t>(r.timelineSlot)));
+                r.timelineSlot = pool.acquire();
+            ar.nested(pool.at(r.timelineSlot));
         }
         for (obs::LatencySample &sample : stageSamples)
             ar.nested(sample);
@@ -517,9 +507,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                     flight.record(now,
                                   obs::FlightKind::ShedDeadline,
                                   r.seq, r.attempts);
-                    if (r.timelineSlot >= 0)
-                        pool.release(static_cast<std::uint32_t>(
-                            r.timelineSlot));
+                    pool.release(r.timelineSlot);
                     shed(r.arrival, ShedReason::DeadlineExhausted);
                     queue.erase(queue.begin() +
                                 static_cast<std::ptrdiff_t>(pick));
@@ -527,13 +515,9 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                 } else {
                     ++r.attempts;
                     ++stats.retries;
-                    if (r.timelineSlot >= 0) {
-                        obs::TimelineRecord &rec =
-                            pool.at(static_cast<std::uint32_t>(
-                                r.timelineSlot));
-                        closeOpenUntil(rec, r, now);
-                        rec.markBackoff(now);
-                    }
+                    obs::TimelineRecord &rec = pool.at(r.timelineSlot);
+                    closeOpenUntil(rec, r, now);
+                    rec.markBackoff(now);
                     r.notBefore =
                         now + retryBackoff(cfg, r.seq, r.attempts);
                     r.deadlineAt = r.notBefore + cfg.deadline;
@@ -559,18 +543,12 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                 now = std::max(now, res.completeAt);
                 const Cycles doneAt =
                     r.isWrite ? res.completeAt : res.forwardAt;
-                if (r.timelineSlot >= 0) {
-                    obs::TimelineRecord &rec =
-                        pool.at(static_cast<std::uint32_t>(
-                            r.timelineSlot));
-                    closeOpenUntil(rec, r, issueAt);
-                    if (res.usedShadow)
-                        rec.stage(obs::kStageShadowForward, issueAt,
-                                  doneAt);
-                    else
-                        rec.stage(obs::kStagePathAccess, issueAt,
-                                  doneAt);
-                }
+                obs::TimelineRecord &rec = pool.at(r.timelineSlot);
+                closeOpenUntil(rec, r, issueAt);
+                if (res.usedShadow)
+                    rec.stage(obs::kStageShadowForward, issueAt, doneAt);
+                else
+                    rec.stage(obs::kStagePathAccess, issueAt, doneAt);
                 complete(r, doneAt, res.usedShadow);
                 if (!r.isWrite) {
                     for (auto it = queue.begin();
@@ -581,14 +559,11 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                                 traceS->instant(obs::kTrackService,
                                                 "dedup_join",
                                                 res.forwardAt);
-                            if (it->timelineSlot >= 0) {
-                                obs::TimelineRecord &rec = pool.at(
-                                    static_cast<std::uint32_t>(
-                                        it->timelineSlot));
-                                closeOpenUntil(rec, *it, issueAt);
-                                rec.stage(obs::kStageDedupJoin,
-                                          issueAt, res.forwardAt);
-                            }
+                            obs::TimelineRecord &join =
+                                pool.at(it->timelineSlot);
+                            closeOpenUntil(join, *it, issueAt);
+                            join.stage(obs::kStageDedupJoin, issueAt,
+                                       res.forwardAt);
                             complete(*it, res.forwardAt,
                                      res.usedShadow);
                             it = queue.erase(it);

@@ -71,8 +71,9 @@ struct ServiceConfig
     Scheme scheme = Scheme::Shadow;
     OramConfig oram;
     ShadowConfig shadow;
-    DramTiming dramTiming = DramTiming::ddr3_1333();
-    DramGeometry dramGeometry;
+    /** The batch path's fixed DDR3-1333 memory (Table I). */
+    static constexpr DramTiming dramTiming = SystemConfig::dramTiming;
+    static constexpr DramGeometry dramGeometry = SystemConfig::dramGeometry;
 
     ArrivalConfig arrivals;
 
@@ -130,10 +131,10 @@ struct Request
     Cycles notBefore = 0;
     Cycles deadlineAt = 0;
     unsigned attempts = 0;  ///< Deadline expiries consumed so far.
-    /** Timeline-pool slot carrying this request's stage record; -1
-     *  until admission assigns one.  Not serialized — slots are
-     *  re-acquired in queue order on resume. */
-    std::int32_t timelineSlot = -1;
+    /** Timeline-pool slot carrying this request's stage record,
+     *  assigned at admission.  Not serialized — slots are re-acquired
+     *  in queue order on resume. */
+    std::uint32_t timelineSlot = 0;
 
     /** Wire format (kSectionSvc queue entries). */
     template <class Self, class Ar>

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -469,6 +470,29 @@ TEST_F(CkptGolden, ResumedSystemSnapshotEqualsDirectSnapshot)
     }
 }
 
+TEST_F(CkptGolden, InsecureMemSectionWithSplitFreeAtIsRejected)
+{
+    // kSectionMem's last two words are one value written twice: the
+    // insecure memory's last completion and its free-at cycle.  A
+    // section whose copies disagree is corrupt, not a resume point.
+    const auto trace = makeTrace("mcf", kMisses, kSeed);
+    const SystemConfig cfg = smallSystem(Scheme::Insecure);
+    Sections s = snapshotAt(cfg, trace, kStopAt);
+    Bytes &mem = s.at(ckpt::kSectionMem);
+    ASSERT_EQ(mem.size(), 24u);
+    ASSERT_TRUE(std::equal(mem.begin() + 8, mem.begin() + 16,
+                           mem.begin() + 16));
+    mem[8] ^= 1;  // The last-completion word.
+
+    TempDir dir;
+    ckpt::SnapshotWriter image;
+    for (const auto &[id, bytes] : s)
+        image.section(id).bytes(bytes.data(), bytes.size());
+    ckpt::CheckpointSession session(dir.path(), configFingerprint(cfg));
+    session.commitSnapshot(image);
+    EXPECT_THROW(runSystem(cfg, trace, &session), CkptMismatchError);
+}
+
 TEST_F(CkptGolden, ServiceSnapshotMatchesCommittedDigests)
 {
     const svc::ServiceConfig cfg = serviceConfig();
@@ -558,8 +582,6 @@ TEST_F(CkptGolden, ServiceComponentsReserializeToSameBytes)
     sys.scheme = cfg.scheme;
     sys.oram = cfg.oram;
     sys.shadow = cfg.shadow;
-    sys.dramTiming = cfg.dramTiming;
-    sys.dramGeometry = cfg.dramGeometry;
     Controller ctrl(sys, Controller::FrontEnd::Service, 0);
     ckpt::SnapshotWriter image;
     for (const auto &[id, bytes] : s)

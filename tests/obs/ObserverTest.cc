@@ -159,6 +159,31 @@ TEST(Observer, TracedRunEmitsValidBalancedArtifacts)
               std::string::npos);
 }
 
+TEST(Observer, EveryInjectedFaultIsOneTraceInstant)
+{
+    // A fault is planted on a path read (fault_injected) or re-applied
+    // by a stuck cell on a rewrite (fault_stuck_reapplied); both count
+    // in faultsInjected, and each gets exactly one instant.
+    TempDir dir;
+    SystemConfig cfg =
+        observedSystem(Scheme::Shadow, dir.path(), "faults");
+    cfg.oram.payloadEnabled = true;
+    cfg.oram.fault.rate = 0.05;
+    cfg.oram.fault.seed = 7;
+    cfg.oram.fault.onUnrecoverable = UnrecoverablePolicy::Count;
+    const RunMetrics m = runSystem(cfg, makeTrace("mcf", kMisses, kSeed));
+
+    const std::string traceDoc =
+        readFile(dir.path() + "/trace-faults.json");
+    const std::size_t planted =
+        countToken(traceDoc, "\"name\": \"fault_injected\"");
+    const std::size_t reapplied =
+        countToken(traceDoc, "\"name\": \"fault_stuck_reapplied\"");
+    EXPECT_GT(planted, 0u);
+    EXPECT_GT(reapplied, 0u);
+    EXPECT_EQ(planted + reapplied, m.faultsInjected);
+}
+
 TEST(Observer, ObservedRunMatchesUnobservedMetrics)
 {
     TempDir dir;

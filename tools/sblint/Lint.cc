@@ -854,27 +854,6 @@ scanUntrackedMetric(const std::string &path, const std::vector<Tok> &t,
 // JSON
 // ---------------------------------------------------------------------
 
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 /** Parse one JSON string starting at s[i] == '"'. */
 bool
 jsonString(const std::string &s, std::size_t &i, std::string &out)
@@ -920,6 +899,27 @@ skipWs(const std::string &s, std::size_t &i)
 }
 
 } // namespace
+
+void
+jsonEscape(std::string &out, const std::string &s)
+{
+    for (char c : s) {
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Public API

@@ -112,6 +112,9 @@ std::vector<Finding> lintSources(const std::vector<SourceFile> &sources);
 /** Human-readable one-line rendering: `file:line: [rule] message`. */
 std::string formatHuman(const Finding &f);
 
+/** Append @p s to @p out with JSON string escaping (no quotes). */
+void jsonEscape(std::string &out, const std::string &s);
+
 /** Serialize findings as a JSON array (stable field order). */
 std::string findingsToJson(const std::vector<Finding> &findings);
 

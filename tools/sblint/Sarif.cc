@@ -1,6 +1,5 @@
 #include "Sarif.hh"
 
-#include <cstdio>
 #include <map>
 
 namespace sboram {
@@ -9,31 +8,10 @@ namespace lint {
 namespace {
 
 void
-sarifEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
 appendString(std::string &out, const std::string &s)
 {
     out += '"';
-    sarifEscape(out, s);
+    jsonEscape(out, s);
     out += '"';
 }
 
