@@ -141,12 +141,12 @@ inline const RunMetrics &
 getChecked(const Future<RunMetrics> &future, const std::string &label)
 {
     const RunMetrics &m = future.get();
-    if (m.stashOverflows > 0) {
+    if (m.stash.overflowEvents > 0) {
         SB_WARN("%s: stash overflowed %llu times (peak %llu reals) — "
                 "results suspect; rerun with a larger stashCapacity",
                 label.c_str(),
-                static_cast<unsigned long long>(m.stashOverflows),
-                static_cast<unsigned long long>(m.stashPeakReal));
+                static_cast<unsigned long long>(m.stash.overflowEvents),
+                static_cast<unsigned long long>(m.stash.peakReal));
     }
     return m;
 }

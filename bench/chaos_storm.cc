@@ -17,8 +17,8 @@
  * within its rollback budget), recoveries per tier, time spent in
  * degraded mode, and replay MTTR (replayed accesses per rollback).
  * Results land in BENCH_resilience.json next to the binary; every
- * point runs twice and the two passes must agree on an outcome
- * fingerprint, so the recovery ladder cannot hide nondeterminism
+ * point runs twice and the two passes must agree on the whole run
+ * record, so the recovery ladder cannot hide nondeterminism
  * behind a resilience report.  The JSON contains no wall-clock
  * values: it is byte-identical at any SB_BENCH_THREADS.
  */
@@ -174,21 +174,21 @@ struct PhaseOutcome
 };
 
 /**
- * Deterministic digest of a phase outcome — the warm/timed passes
- * must agree on it, completed or not.
+ * Whether two passes of a phase agree: a completed phase's whole
+ * record (its saveRunMetrics bytes), or a failed phase's failing
+ * access.
  */
-std::uint64_t
-outcomeFingerprint(const PhaseOutcome &o)
+bool
+sameOutcome(const PhaseOutcome &a, const PhaseOutcome &b)
 {
-    if (!o.completed)
-        return 0xdeadULL ^ o.failedAt * 0x100000001b3ULL;
-    const RunMetrics &m = o.m;
-    return m.execTime + m.requests * 31 + m.pathReads * 7 +
-           m.shadowsWritten * 3 + m.faultsDetected * 13 +
-           m.faultsRecovered * 11 + m.slotsQuarantined * 101 +
-           m.quarantineEvacuations * 103 + m.degradedEntries * 29 +
-           m.emergencyEvictions * 37 + m.rollbacks * 997 +
-           m.replayedAccesses * 5;
+    if (a.completed != b.completed)
+        return false;
+    if (!a.completed)
+        return a.failedAt == b.failedAt;
+    ckpt::Serializer wa, wb;
+    saveRunMetrics(wa, a.m);
+    saveRunMetrics(wb, b.m);
+    return wa.buffer() == wb.buffer();
 }
 
 /**
@@ -261,18 +261,19 @@ struct PointResult
         if (!o.completed)
             return;
         ++phasesCompleted;
-        injected += o.m.faultsInjected;
-        detected += o.m.faultsDetected;
-        tier0Healed += o.m.faultsRecovered;
-        tier1Quarantined += o.m.slotsQuarantined;
-        tier1Evacuations += o.m.quarantineEvacuations;
-        tier2Entries += o.m.degradedEntries;
-        tier2Ticks += o.m.degradedTicks;
-        tier2Evictions += o.m.emergencyEvictions;
+        const OramStats &s = o.m.oram;
+        injected += s.faultsInjected;
+        detected += s.faultsDetected;
+        tier0Healed += s.faultsRecovered;
+        tier1Quarantined += s.slotsQuarantined;
+        tier1Evacuations += s.quarantineEvacuations;
+        tier2Entries += s.degradedEntries;
+        tier2Ticks += s.degradedTicks;
+        tier2Evictions += s.emergencyEvictions;
         tier3Rollbacks += o.m.rollbacks;
         replayedAccesses += o.m.replayedAccesses;
         peakStash = std::max<std::uint64_t>(peakStash,
-                                            o.m.stashPeakReal);
+                                            o.m.stash.peakReal);
     }
 };
 
@@ -395,7 +396,7 @@ runBench()
                 const Slot &slot = slots[slotIdx++];
                 const PhaseOutcome &o0 = slot.pass[0].get();
                 const PhaseOutcome &o1 = slot.pass[1].get();
-                if (outcomeFingerprint(o0) != outcomeFingerprint(o1)) {
+                if (!sameOutcome(o0, o1)) {
                     std::fprintf(stderr,
                                  "chaos_storm: %s/%s phase %zu "
                                  "outcomes differ between passes — "

@@ -98,13 +98,13 @@ runBench()
         const RunMetrics &m = getChecked(pt.future, label);
         t.beginRow(pt.policy->name);
         t.cell(strprintf("%g", pt.rate));
-        t.cell(m.faultsInjected);
-        t.cell(m.faultsDetected);
-        t.cell(m.faultsRecovered);
-        t.cell(m.faultsUnrecoverable);
-        t.cell(m.faultsDetected
-                   ? 100.0 * static_cast<double>(m.faultsRecovered) /
-                         static_cast<double>(m.faultsDetected)
+        t.cell(m.oram.faultsInjected);
+        t.cell(m.oram.faultsDetected);
+        t.cell(m.oram.faultsRecovered);
+        t.cell(m.oram.faultsUnrecoverable);
+        t.cell(m.oram.faultsDetected
+                   ? 100.0 * static_cast<double>(m.oram.faultsRecovered) /
+                         static_cast<double>(m.oram.faultsDetected)
                    : 0.0,
                1);
     }
@@ -130,8 +130,8 @@ runBench()
         const RunMetrics &m = f.get();
         std::printf("throw+retry: completed; recovered %llu of %llu "
                     "detected corruptions\n",
-                    static_cast<unsigned long long>(m.faultsRecovered),
-                    static_cast<unsigned long long>(m.faultsDetected));
+                    static_cast<unsigned long long>(m.oram.faultsRecovered),
+                    static_cast<unsigned long long>(m.oram.faultsDetected));
     } catch (const CorruptionError &e) {
         std::printf("throw+retry: lost a block on every attempt "
                     "(last: access %llu, bucket %llu, level %u)\n",

@@ -6,75 +6,12 @@
  * total execution time (Tiny-Data + Tiny-Interval = 1.0).
  */
 
-#include "BenchUtil.hh"
-
-using namespace sboram;
-using namespace sboram::bench;
+#include "DupBreakdown.hh"
 
 static int
 runBench()
 {
-    SystemConfig base = paperSystem();
-    base.timingProtection = false;
-
-    Table t("Fig. 8 — normalized time, RD-Dup / HD-Dup vs Tiny "
-            "(no timing protection)");
-    t.header({"workload", "Tiny-Data", "Tiny-Intv", "RD-Data",
-              "RD-Intv", "RD-Total", "HD-Data", "HD-Intv",
-              "HD-Total"});
-
-    struct Row
-    {
-        Future<RunMetrics> tiny, rd, hd;
-    };
-    std::vector<Row> rows;
-    for (const std::string &wl : benchWorkloads())
-        rows.push_back(
-            {submitPoint(withScheme(base, Scheme::Tiny), wl),
-             submitPoint(withScheme(base, Scheme::Shadow,
-                                    ShadowMode::RdOnly), wl),
-             submitPoint(withScheme(base, Scheme::Shadow,
-                                    ShadowMode::HdOnly), wl)});
-
-    std::vector<double> rdTotals, hdTotals, rdIntv, hdIntv, rdData,
-        hdData;
-    std::size_t rowIdx = 0;
-    for (const std::string &wl : benchWorkloads()) {
-        Row &row = rows[rowIdx++];
-        const RunMetrics tiny = getChecked(row.tiny, wl + "/tiny");
-        const RunMetrics rd = getChecked(row.rd, wl + "/rd");
-        const RunMetrics hd = getChecked(row.hd, wl + "/hd");
-
-        NormalizedTime nt = normalize(tiny, tiny);
-        NormalizedTime nr = normalize(rd, tiny);
-        NormalizedTime nh = normalize(hd, tiny);
-        t.beginRow(wl);
-        t.cell(nt.data);
-        t.cell(nt.interval);
-        t.cell(nr.data);
-        t.cell(nr.interval);
-        t.cell(nr.total);
-        t.cell(nh.data);
-        t.cell(nh.interval);
-        t.cell(nh.total);
-        rdTotals.push_back(nr.total);
-        hdTotals.push_back(nh.total);
-        rdData.push_back(nr.data / nt.data);
-        hdData.push_back(nh.data / nt.data);
-        rdIntv.push_back(nr.interval / nt.interval);
-        hdIntv.push_back(nh.interval / nt.interval);
-    }
-    t.print();
-
-    std::printf("\npaper: RD-Dup cuts DRI most (74%%), HD-Dup cuts "
-                "data access time most (12%%)\n");
-    std::printf("measured (gmean): RD total %.3f (DRI ratio %.3f, "
-                "data ratio %.3f)\n",
-                gmean(rdTotals), gmean(rdIntv), gmean(rdData));
-    std::printf("measured (gmean): HD total %.3f (DRI ratio %.3f, "
-                "data ratio %.3f)\n",
-                gmean(hdTotals), gmean(hdIntv), gmean(hdData));
-    return 0;
+    return sboram::bench::runDupBreakdown(false);
 }
 
 int

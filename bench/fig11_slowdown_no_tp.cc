@@ -6,73 +6,12 @@
  * on average; mcf/libquantum/omnetpp stand out (memory intensity).
  */
 
-#include "BenchUtil.hh"
-
-using namespace sboram;
-using namespace sboram::bench;
+#include "SlowdownSweep.hh"
 
 static int
 runBench()
 {
-    SystemConfig base = paperSystem();
-    base.timingProtection = false;
-
-    Table t("Fig. 11 — slowdown vs insecure system (no timing "
-            "protection)");
-    t.header({"workload", "Tiny", "static-7", "dynamic-3",
-              "insecure"});
-
-    struct Row
-    {
-        Future<RunMetrics> ins, tiny, st7, dyn3;
-    };
-    std::vector<Row> rows;
-    for (const std::string &wl : benchWorkloads())
-        rows.push_back(
-            {submitPoint(withScheme(base, Scheme::Insecure), wl),
-             submitPoint(withScheme(base, Scheme::Tiny), wl),
-             submitPoint(withScheme(base, Scheme::Shadow,
-                                    ShadowMode::StaticPartition, 7),
-                         wl),
-             submitPoint(withScheme(base, Scheme::Shadow,
-                                    ShadowMode::DynamicPartition, 7,
-                                    3),
-                         wl)});
-
-    std::vector<double> tinyS, st7S, dyn3S;
-    std::size_t rowIdx = 0;
-    for (const std::string &wl : benchWorkloads()) {
-        Row &row = rows[rowIdx++];
-        const RunMetrics ins = getChecked(row.ins, wl + "/ins");
-        const RunMetrics tiny = getChecked(row.tiny, wl + "/tiny");
-        const RunMetrics st7 = getChecked(row.st7, wl + "/st7");
-        const RunMetrics dyn3 = getChecked(row.dyn3, wl + "/dyn3");
-
-        const double insT = static_cast<double>(ins.execTime);
-        t.beginRow(wl);
-        t.cell(static_cast<double>(tiny.execTime) / insT, 2);
-        t.cell(static_cast<double>(st7.execTime) / insT, 2);
-        t.cell(static_cast<double>(dyn3.execTime) / insT, 2);
-        t.cell(1.0, 2);
-        tinyS.push_back(static_cast<double>(tiny.execTime) / insT);
-        st7S.push_back(static_cast<double>(st7.execTime) / insT);
-        dyn3S.push_back(static_cast<double>(dyn3.execTime) / insT);
-    }
-    t.beginRow("gmean");
-    t.cell(gmean(tinyS), 2);
-    t.cell(gmean(st7S), 2);
-    t.cell(gmean(dyn3S), 2);
-    t.cell(1.0, 2);
-    t.print();
-
-    std::printf("\npaper: Tiny ~2.8x, static-7 2.35x (85%% of Tiny), "
-                "dynamic-3 2.21x (80%% of Tiny)\n");
-    std::printf("measured: Tiny %.2fx, static-7 %.2fx (%.0f%%), "
-                "dynamic-3 %.2fx (%.0f%%)\n",
-                gmean(tinyS), gmean(st7S),
-                100.0 * gmean(st7S) / gmean(tinyS), gmean(dyn3S),
-                100.0 * gmean(dyn3S) / gmean(tinyS));
-    return 0;
+    return sboram::bench::runSlowdownSweep(false);
 }
 
 int

@@ -7,69 +7,12 @@
  * earlier slots, suppressing dummies.
  */
 
-#include "BenchUtil.hh"
-
-using namespace sboram;
-using namespace sboram::bench;
+#include "DupBreakdown.hh"
 
 static int
 runBench()
 {
-    SystemConfig base = paperSystem();
-    base.timingProtection = true;
-
-    Table t("Fig. 13 — normalized time, RD-Dup / HD-Dup vs Tiny "
-            "(with timing protection)");
-    t.header({"workload", "Tiny-Data", "Tiny-Intv", "RD-Data",
-              "RD-Intv", "RD-Total", "HD-Data", "HD-Intv",
-              "HD-Total", "dummies Tiny/RD/HD"});
-
-    struct Row
-    {
-        Future<RunMetrics> tiny, rd, hd;
-    };
-    std::vector<Row> rows;
-    for (const std::string &wl : benchWorkloads())
-        rows.push_back(
-            {submitPoint(withScheme(base, Scheme::Tiny), wl),
-             submitPoint(withScheme(base, Scheme::Shadow,
-                                    ShadowMode::RdOnly), wl),
-             submitPoint(withScheme(base, Scheme::Shadow,
-                                    ShadowMode::HdOnly), wl)});
-
-    std::vector<double> rdTotals, hdTotals;
-    std::size_t rowIdx = 0;
-    for (const std::string &wl : benchWorkloads()) {
-        Row &row = rows[rowIdx++];
-        const RunMetrics tiny = getChecked(row.tiny, wl + "/tiny");
-        const RunMetrics rd = getChecked(row.rd, wl + "/rd");
-        const RunMetrics hd = getChecked(row.hd, wl + "/hd");
-
-        NormalizedTime nt = normalize(tiny, tiny);
-        NormalizedTime nr = normalize(rd, tiny);
-        NormalizedTime nh = normalize(hd, tiny);
-        t.beginRow(wl);
-        t.cell(nt.data);
-        t.cell(nt.interval);
-        t.cell(nr.data);
-        t.cell(nr.interval);
-        t.cell(nr.total);
-        t.cell(nh.data);
-        t.cell(nh.interval);
-        t.cell(nh.total);
-        t.cell(std::to_string(tiny.dummyRequests) + "/" +
-               std::to_string(rd.dummyRequests) + "/" +
-               std::to_string(hd.dummyRequests));
-        rdTotals.push_back(nr.total);
-        hdTotals.push_back(nh.total);
-    }
-    t.print();
-
-    std::printf("\npaper: RD-Dup total -27%%, HD-Dup total -11%% "
-                "with timing protection\n");
-    std::printf("measured (gmean): RD total %.3f, HD total %.3f\n",
-                gmean(rdTotals), gmean(hdTotals));
-    return 0;
+    return sboram::bench::runDupBreakdown(true);
 }
 
 int

@@ -6,72 +6,12 @@
  * 32% of the execution time vs Tiny ORAM.
  */
 
-#include "BenchUtil.hh"
-
-using namespace sboram;
-using namespace sboram::bench;
+#include "SlowdownSweep.hh"
 
 static int
 runBench()
 {
-    SystemConfig base = paperSystem();
-    base.timingProtection = true;
-
-    Table t("Fig. 15 — slowdown vs insecure system (with timing "
-            "protection)");
-    t.header({"workload", "Tiny", "static-4", "dynamic-3",
-              "insecure"});
-
-    struct Row
-    {
-        Future<RunMetrics> ins, tiny, st4, dyn3;
-    };
-    std::vector<Row> rows;
-    for (const std::string &wl : benchWorkloads())
-        rows.push_back(
-            {submitPoint(withScheme(base, Scheme::Insecure), wl),
-             submitPoint(withScheme(base, Scheme::Tiny), wl),
-             submitPoint(withScheme(base, Scheme::Shadow,
-                                    ShadowMode::StaticPartition, 4),
-                         wl),
-             submitPoint(withScheme(base, Scheme::Shadow,
-                                    ShadowMode::DynamicPartition, 4,
-                                    3),
-                         wl)});
-
-    std::vector<double> tinyS, st4S, dyn3S;
-    std::size_t rowIdx = 0;
-    for (const std::string &wl : benchWorkloads()) {
-        Row &row = rows[rowIdx++];
-        const RunMetrics ins = getChecked(row.ins, wl + "/ins");
-        const RunMetrics tiny = getChecked(row.tiny, wl + "/tiny");
-        const RunMetrics st4 = getChecked(row.st4, wl + "/st4");
-        const RunMetrics dyn3 = getChecked(row.dyn3, wl + "/dyn3");
-
-        const double insT = static_cast<double>(ins.execTime);
-        t.beginRow(wl);
-        t.cell(static_cast<double>(tiny.execTime) / insT, 2);
-        t.cell(static_cast<double>(st4.execTime) / insT, 2);
-        t.cell(static_cast<double>(dyn3.execTime) / insT, 2);
-        t.cell(1.0, 2);
-        tinyS.push_back(static_cast<double>(tiny.execTime) / insT);
-        st4S.push_back(static_cast<double>(st4.execTime) / insT);
-        dyn3S.push_back(static_cast<double>(dyn3.execTime) / insT);
-    }
-    t.beginRow("gmean");
-    t.cell(gmean(tinyS), 2);
-    t.cell(gmean(st4S), 2);
-    t.cell(gmean(dyn3S), 2);
-    t.cell(1.0, 2);
-    t.print();
-
-    std::printf("\npaper: static-4 cuts 30%%, dynamic-3 cuts 32%% of "
-                "Tiny's execution time\n");
-    std::printf("measured: static-4 cuts %.0f%%, dynamic-3 cuts "
-                "%.0f%%\n",
-                100.0 * (1.0 - gmean(st4S) / gmean(tinyS)),
-                100.0 * (1.0 - gmean(dyn3S) / gmean(tinyS)));
-    return 0;
+    return sboram::bench::runSlowdownSweep(true);
 }
 
 int

@@ -39,10 +39,10 @@ runBench()
     std::size_t rowIdx = 0;
     for (const std::string &wl : benchWorkloads()) {
         std::vector<Future<RunMetrics>> &row = rows[rowIdx++];
-        const double a = row[0].get().onChipHitRate;
-        const double b = row[1].get().onChipHitRate;
-        const double c = row[2].get().onChipHitRate;
-        const double d = row[3].get().onChipHitRate;
+        const double a = row[0].get().onChipHitRate();
+        const double b = row[1].get().onChipHitRate();
+        const double c = row[2].get().onChipHitRate();
+        const double d = row[3].get().onChipHitRate();
         t.beginRow(wl);
         t.cell(a);
         t.cell(b);

@@ -45,7 +45,7 @@ checksumOf(const std::vector<RunMetrics> &results)
     // Checksum so a broken parallel path cannot silently pass.
     std::uint64_t checksum = 0;
     for (const RunMetrics &m : results)
-        checksum ^= m.execTime + m.requests * 31 + m.pathReads * 7;
+        checksum ^= m.execTime + m.requests * 31 + m.oram.pathReads * 7;
     return checksum;
 }
 

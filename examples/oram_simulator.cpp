@@ -145,25 +145,25 @@ main(int argc, char **argv)
     t.beginRow("LLC requests");
     t.cell(m.requests);
     t.beginRow("dummy ORAM requests");
-    t.cell(m.dummyRequests);
+    t.cell(m.oram.dummyAccesses);
     t.beginRow("stash hits");
-    t.cell(m.stashHits);
+    t.cell(m.oram.stashHits);
     t.beginRow("  of which shadow copies");
-    t.cell(m.shadowStashHits);
+    t.cell(m.oram.shadowStashHits);
     t.beginRow("path reads");
-    t.cell(m.pathReads);
+    t.cell(m.oram.pathReads);
     t.beginRow("shadow blocks written");
-    t.cell(m.shadowsWritten);
+    t.cell(m.oram.shadowsWritten);
     t.beginRow("shadow-advanced forwards");
-    t.cell(m.shadowForwards);
+    t.cell(m.oram.shadowForwards);
     t.beginRow("on-chip hit rate");
-    t.cell(m.onChipHitRate);
+    t.cell(m.onChipHitRate());
     t.beginRow("memory energy (uJ)");
     t.cell(m.energy / 1e6, 1);
     t.beginRow("peak stash occupancy (real)");
-    t.cell(m.stashPeakReal);
+    t.cell(m.stash.peakReal);
     t.beginRow("stash overflows");
-    t.cell(m.stashOverflows);
+    t.cell(m.stash.overflowEvents);
     t.beginRow("final partitioning level");
     t.cell(static_cast<std::uint64_t>(m.finalPartitionLevel));
     t.print();

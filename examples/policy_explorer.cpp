@@ -45,8 +45,8 @@ main(int argc, char **argv)
                        static_cast<double>(tiny.execTime),
                    3);
         table.cell(m.driTime / static_cast<double>(m.execTime), 3);
-        table.cell(m.shadowForwards);
-        table.cell(m.shadowStashHits);
+        table.cell(m.oram.shadowForwards);
+        table.cell(m.oram.shadowStashHits);
     };
     report("tiny", tiny);
 

@@ -39,7 +39,11 @@
 namespace sboram {
 namespace ckpt {
 
-/** Current snapshot format version.  Version 6: service snapshots
+/** Current snapshot format version.  Version 7: a completed point's
+ *  kSectionResult carries the run's OramStats and StashStats whole,
+ *  through their own serde, in place of a hand-picked subset; no
+ *  snapshot section changed, and a version-6 .done marker is rejected
+ *  so its point reruns.  Version 6: service snapshots
  *  gained kSectionPort, since every service access now issues through
  *  the controller's port.  Version 5: histograms gained a
  *  binning-kind tag in their serialized form (log2 is now the only
@@ -53,7 +57,7 @@ namespace ckpt {
  *  generation and resilience counters.  Old snapshots are rejected
  *  with CkptVersionError before any state is mutated and fall back
  *  per the existing recovery tiers. */
-constexpr std::uint32_t kSnapshotVersion = 6;
+constexpr std::uint32_t kSnapshotVersion = 7;
 
 /** Well-known section ids used by sim/System and friends. */
 enum SectionId : std::uint32_t

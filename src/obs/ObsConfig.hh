@@ -27,10 +27,8 @@ struct ObsConfig
     bool trace = false;
     /** Emit the interval-sampled metrics JSONL artifact. */
     bool metrics = false;
-    /** Print per-worker progress lines to stderr while running. */
-    bool heartbeat = false;
 
-    /** Sampling / heartbeat cadence in completed accesses. */
+    /** Sampling cadence in completed accesses. */
     std::uint64_t interval = 1000;
 
     /** Artifact directory; empty means the process obs dir. */
@@ -44,7 +42,7 @@ struct ObsConfig
      */
     std::string label;
 
-    bool any() const { return trace || metrics || heartbeat; }
+    bool any() const { return trace || metrics; }
 };
 
 } // namespace obs

@@ -69,7 +69,6 @@ applyEnv(ObsConfig &cfg)
     if (!cfg.any()) {
         cfg.trace = envFlag("SB_OBS_TRACE");
         cfg.metrics = envFlag("SB_OBS_METRICS");
-        cfg.heartbeat = envFlag("SB_OBS_HEARTBEAT");
         // sblint:allow-next-line(ambient-nondeterminism): sampling cadence knob; cadence changes what is recorded, never what is simulated
         if (const char *iv = std::getenv("SB_OBS_INTERVAL")) {
             char *end = nullptr;
@@ -209,8 +208,6 @@ RunObserver::onAccessBoundary(std::uint64_t accessesDone,
         _reqLatency->sample(static_cast<double>(forward - issue));
     if (_sampler)
         _sampler->onAccess(accessesDone, cycles);
-    if (_cfg.heartbeat)
-        maybeHeartbeat(accessesDone);
 }
 
 void
@@ -223,33 +220,6 @@ RunObserver::finalSample(std::uint64_t accessesDone,
         _sampler->rows().back().access == accessesDone)
         return;
     _sampler->takeSample(accessesDone, cycles);
-}
-
-void
-RunObserver::maybeHeartbeat(std::uint64_t accessesDone)
-{
-    if (accessesDone - _lastBeatAccess < _cfg.interval)
-        return;
-    const std::uint64_t now = wallMicros();
-    // Rate-limit to one line per second per run so a tiny interval
-    // cannot flood stderr.
-    if (_lastBeatUs != 0 && now - _lastBeatUs < 1000000)
-        return;
-    const double elapsed =
-        static_cast<double>(now - _wallStartUs) / 1e6;
-    const double rate = elapsed > 0.0
-        ? static_cast<double>(accessesDone) / elapsed
-        : 0.0;
-    const double eta = (rate > 0.0 && _total > accessesDone)
-        ? static_cast<double>(_total - accessesDone) / rate
-        : 0.0;
-    SB_INFORM("[w%u] %s: %llu/%llu accesses, %.0f acc/s, ETA %.0f s",
-              _worker,
-              _cfg.label.empty() ? "run" : _cfg.label.c_str(),
-              static_cast<unsigned long long>(accessesDone),
-              static_cast<unsigned long long>(_total), rate, eta);
-    _lastBeatUs = now;
-    _lastBeatAccess = accessesDone;
 }
 
 template <class Self, class Ar>

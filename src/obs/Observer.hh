@@ -53,9 +53,6 @@ class RunObserver
 
     MetricRegistry &registry() { return _registry; }
 
-    /** Expected total accesses of the run (for heartbeat ETA). */
-    void setTotalAccesses(std::uint64_t total) { _total = total; }
-
     /**
      * Finish the metric wiring: every counter/gauge/histogram must be
      * registered before this call so the artifact column set is fixed
@@ -66,9 +63,9 @@ class RunObserver
 
     /**
      * Per-completed-access tick from the CPU step hook: feeds the
-     * request-latency histogram, the interval sampler and the
-     * heartbeat.  @p issue / @p forward are the completed request's
-     * issue and data-forward cycles.
+     * request-latency histogram and the interval sampler.  @p issue /
+     * @p forward are the completed request's issue and data-forward
+     * cycles.
      */
     void onAccessBoundary(std::uint64_t accessesDone,
                           std::uint64_t cycles, std::uint64_t issue,
@@ -92,22 +89,17 @@ class RunObserver
     template <class Self, class Ar>
     static void serde(Self &self, Ar &ar);
 
-    void maybeHeartbeat(std::uint64_t accessesDone);
-
     ObsConfig _cfg;
     MetricRegistry _registry;
     std::unique_ptr<TraceSession> _trace;
     std::unique_ptr<IntervalSampler> _sampler;
     HistogramSink *_reqLatency = nullptr;
 
-    std::uint64_t _total = 0;
     unsigned _worker = 0;
     bool _closed = false;
 
     /** Wall-clock microseconds since process start (runner lanes). */
     std::uint64_t _wallStartUs = 0;
-    std::uint64_t _lastBeatUs = 0;
-    std::uint64_t _lastBeatAccess = 0;
 };
 
 // ---------------------------------------------------------------------

@@ -248,10 +248,7 @@ Stash::serde(Self &self, Ar &ar)
 {
     ar.u64(self._nextSeq);
     ar.u64(self._realCount);
-    ar.u64(self._stats.peakReal);
-    ar.u64(self._stats.overflowEvents);
-    ar.u64(self._stats.mergesRealWins);
-    ar.u64(self._stats.mergesShadowDup);
+    StashStats::serde(self._stats, ar);
     // Entries travel in seq order, not slab order: which slot an
     // entry occupies depends on the free-list history, and a snapshot
     // must be byte-identical for identical stash contents (generation

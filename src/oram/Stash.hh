@@ -77,6 +77,17 @@ struct StashStats
     std::uint64_t overflowEvents = 0;
     std::uint64_t mergesRealWins = 0;  ///< Shadow discarded for real.
     std::uint64_t mergesShadowDup = 0; ///< Shadow collapsed w/ shadow.
+
+    /** Wire format (inside Stash's snapshot body and kSectionResult). */
+    template <class Self, class Ar>
+    static void
+    serde(Self &s, Ar &ar)
+    {
+        ar.u64(s.peakReal);
+        ar.u64(s.overflowEvents);
+        ar.u64(s.mergesRealWins);
+        ar.u64(s.mergesShadowDup);
+    }
 };
 
 class Stash

@@ -389,16 +389,15 @@ TinyOram::parkIfQuarantined(std::uint64_t slotIdx,
 }
 
 SB_HOT bool
-TinyOram::reapplyStuckCell(std::uint64_t slotIdx)
+TinyOram::reapplyStuckCell(std::uint64_t slotIdx, Cycles at,
+                           unsigned track)
 {
     if (!_faults ||
         !_faults->onSlotRewritten(slotIdx, _tree.cipherRef(slotIdx)))
         return false;
     ++_stats.faultsInjected;
-    // Stamped with the last path access's start, also when the scrub
-    // re-applies the cell outside any path access.
     if (obs::TraceSession *t = trace())
-        t->instant(_obsPathTrack, "fault_stuck_reapplied", _obsPathStart);
+        t->instant(track, "fault_stuck_reapplied", at);
     return true;
 }
 
@@ -620,7 +619,7 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
         offerShadows(leaf);
     placeGreedy(leaf);
     fillDummies();
-    flushWrite();
+    flushWrite(startTime);
 
     _policy->endPathWrite();
 
@@ -841,7 +840,7 @@ TinyOram::fillDummies()
 }
 
 SB_HOT void
-TinyOram::flushWrite()
+TinyOram::flushWrite(Cycles startTime)
 {
     // One keystream pass re-encrypts every slot this write placed
     // (greedy reals and dummy-fill shadows — the slot sets are
@@ -882,7 +881,8 @@ TinyOram::flushWrite()
         // keyed by slot index alone, so doing them after the batch is
         // equivalent to interleaving them with per-slot encrypts.
         for (std::size_t i = 0; i < n; ++i)
-            reapplyStuckCell(_pendingEnc[i].slotIdx);
+            reapplyStuckCell(_pendingEnc[i].slotIdx, startTime,
+                             obs::kTrackEviction);
     }
     _pendingEnc.clear();
     for (Addr a : _placedAddrs)
@@ -1007,7 +1007,8 @@ TinyOram::scrubStorage()
             if (parkIfQuarantined(slotIdx, plain.data()))
                 continue;
             _codec.encryptRef(plain.data(), _tree.cipherRef(slotIdx));
-            if (reapplyStuckCell(slotIdx))
+            if (reapplyStuckCell(slotIdx, _freeAt,
+                                 obs::kTrackCheckpoint))
                 clean = false;  // It re-corrupted the healed rewrite.
         }
     }

@@ -91,7 +91,7 @@ struct OramStats
     std::uint64_t degradedTicks = 0;       ///< Accesses spent degraded.
     std::uint64_t emergencyEvictions = 0;  ///< Backpressure sweeps.
 
-    /** Wire format (inside TinyOram's snapshot body). */
+    /** Wire format (inside TinyOram's snapshot body and kSectionResult). */
     template <class Self, class Ar>
     static void
     serde(Self &s, Ar &ar)
@@ -336,9 +336,10 @@ class TinyOram
     SB_HOT void fillDummies();
 
     /** Write phase 4: park or batch-encrypt every placed slot,
-     *  re-apply stuck cells, reset the payload buffers and return
-     *  unplaced eviction-buffer shadows to the stash. */
-    SB_HOT void flushWrite();
+     *  re-apply stuck cells (stamped at the path write's
+     *  @p startTime), reset the payload buffers and return unplaced
+     *  eviction-buffer shadows to the stash. */
+    SB_HOT void flushWrite(Cycles startTime);
 
     /** Dense _placedBufs slot of @p addr's payload in this write,
      *  assigned on first use. */
@@ -413,8 +414,10 @@ class TinyOram
                                   const std::uint64_t *plain);
 
     /** Let a stuck cell re-corrupt @p slotIdx's fresh ciphertext;
-     *  true (and counted as injected) when it did. */
-    SB_HOT bool reapplyStuckCell(std::uint64_t slotIdx);
+     *  true (and counted as injected) when it did.  The trace instant
+     *  goes on the caller's @p track at the caller's time @p at. */
+    SB_HOT bool reapplyStuckCell(std::uint64_t slotIdx, Cycles at,
+                                 unsigned track);
 
     /** Apply an LLC write to @p e: bump its version and store
      *  @p writeData (or the version's pattern) in payload mode. */

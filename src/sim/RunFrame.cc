@@ -7,17 +7,15 @@
 
 namespace sboram {
 
-RunFrame::RunFrame(const obs::ObsConfig &obsCfg, std::uint64_t total,
+RunFrame::RunFrame(const obs::ObsConfig &obsCfg,
                    ckpt::CheckpointSession *session,
                    std::uint64_t interval, std::uint64_t interruptAfter,
                    const char *unit)
     : _session(session), _interval(interval),
       _interruptAfter(interruptAfter), _unit(unit)
 {
-    if (obsCfg.any()) {
+    if (obsCfg.any())
         _observer = std::make_unique<obs::RunObserver>(obsCfg);
-        _observer->setTotalAccesses(total);
-    }
 }
 
 void

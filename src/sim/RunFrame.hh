@@ -38,7 +38,6 @@ class RunFrame
 
     /**
      * Create the RunObserver when @p obsCfg asks for anything.
-     * @param total Expected count at the end (heartbeat ETA).
      * @param session Null: no snapshots; a stop still throws.
      * @param interval Snapshot every N counted units; 0 = only on
      *        a stop.
@@ -46,7 +45,7 @@ class RunFrame
      *        N; 0 disables.
      * @param unit What the count counts, for the stop message.
      */
-    RunFrame(const obs::ObsConfig &obsCfg, std::uint64_t total,
+    RunFrame(const obs::ObsConfig &obsCfg,
              ckpt::CheckpointSession *session, std::uint64_t interval,
              std::uint64_t interruptAfter, const char *unit);
 

@@ -57,27 +57,10 @@ serdeRunMetrics(M &m, Ar &ar)
     ar.f64(m.dataAccessTime);
     ar.f64(m.driTime);
     ar.u64(m.requests);
-    ar.u64(m.dummyRequests);
-    ar.u64(m.stashHits);
-    ar.u64(m.shadowStashHits);
-    ar.u64(m.shadowForwards);
-    ar.u64(m.pathReads);
-    ar.u64(m.shadowsWritten);
-    ar.f64(m.onChipHitRate);
     ar.f64(m.energy);
-    ar.u64(m.stashPeakReal);
-    ar.u64(m.stashOverflows);
-    ar.f64(m.avgForwardLevel);
     ar.u32(m.finalPartitionLevel);
-    ar.u64(m.faultsInjected);
-    ar.u64(m.faultsDetected);
-    ar.u64(m.faultsRecovered);
-    ar.u64(m.faultsUnrecoverable);
-    ar.u64(m.slotsQuarantined);
-    ar.u64(m.quarantineEvacuations);
-    ar.u64(m.degradedEntries);
-    ar.u64(m.degradedTicks);
-    ar.u64(m.emergencyEvictions);
+    OramStats::serde(m.oram, ar);
+    StashStats::serde(m.stash, ar);
     serdeCarried(m, ar);
 }
 
@@ -131,11 +114,7 @@ runSystem(const SystemConfig &cfg,
     // The run frame: the observability hub (null unless the config
     // opts in, so every hook below stays a single branch on a cold
     // pointer), the checkpoint cadence and resume.
-    RunFrame frame(cfg.obs,
-                   trace.size() * (cfg.cpu == CpuKind::OutOfOrder
-                                       ? cfg.cores
-                                       : 1),
-                   session, cfg.checkpointInterval,
+    RunFrame frame(cfg.obs, session, cfg.checkpointInterval,
                    cfg.interruptAfterAccesses, "accesses");
     frame.countCheckpoints();
     obs::RunObserver *const obsPtr = frame.observer();
@@ -403,30 +382,10 @@ runSystem(const SystemConfig &cfg,
     if (m.driTime < 0.0)
         m.driTime = 0.0;
 
-    const OramStats &os = oram.stats();
-    m.requests = os.requests;
-    m.dummyRequests = os.dummyAccesses;
-    m.stashHits = os.stashHits;
-    m.shadowStashHits = os.shadowStashHits;
-    m.shadowForwards = os.shadowForwards;
-    m.pathReads = os.pathReads;
-    m.shadowsWritten = os.shadowsWritten;
-    m.onChipHitRate = os.requests
-        ? static_cast<double>(os.onChipHits) /
-          static_cast<double>(os.requests)
-        : 0.0;
+    m.requests = r.reads + r.writes;
     m.energy = energy.totalEnergy(ctrl.dram().stats(), m.execTime);
-    m.stashPeakReal = oram.stash().stats().peakReal;
-    m.stashOverflows = oram.stash().stats().overflowEvents;
-    m.faultsInjected = os.faultsInjected;
-    m.faultsDetected = os.faultsDetected;
-    m.faultsRecovered = os.faultsRecovered;
-    m.faultsUnrecoverable = os.faultsUnrecoverable;
-    m.slotsQuarantined = os.slotsQuarantined;
-    m.quarantineEvacuations = os.quarantineEvacuations;
-    m.degradedEntries = os.degradedEntries;
-    m.degradedTicks = os.degradedTicks;
-    m.emergencyEvictions = os.emergencyEvictions;
+    m.oram = oram.stats();
+    m.stash = oram.stash().stats();
     // m.rollbacks / m.replayedAccesses are maintained by the tier-3
     // loop above (and restored from the snapshot on resume).
     if (shadowPolicy)

@@ -109,50 +109,44 @@ struct SystemConfig
     unsigned maxAutoRollbacks = 0;
 
     /**
-     * Observability (DESIGN.md §9): event tracing, interval-sampled
-     * metrics, heartbeat.  All off by default; the ExperimentRunner
-     * merges the SB_OBS_* environment knobs in.  Not part of the
+     * Observability (DESIGN.md §9): event tracing and interval-sampled
+     * metrics.  Both off by default; the ExperimentRunner merges the
+     * SB_OBS_* environment knobs in.  Not part of the
      * point fingerprint — observing a run never changes its results.
      */
     obs::ObsConfig obs;
 };
 
-/** Everything the benches need from one run. */
+/**
+ * Everything the benches need from one run: what the run measures
+ * itself, plus the controller's own counters carried whole (both
+ * zero for an Insecure run).
+ */
 struct RunMetrics
 {
     Cycles execTime = 0;
     double dataAccessTime = 0.0;  ///< Eq. 1 first term.
     double driTime = 0.0;         ///< Eq. 1 second term.
-    std::uint64_t requests = 0;
-    std::uint64_t dummyRequests = 0;
-    std::uint64_t stashHits = 0;
-    std::uint64_t shadowStashHits = 0;
-    std::uint64_t shadowForwards = 0;
-    std::uint64_t pathReads = 0;
-    std::uint64_t shadowsWritten = 0;
-    double onChipHitRate = 0.0;  ///< Fig. 16.
-    PicoJoules energy = 0.0;     ///< Fig. 12.
-    std::uint64_t stashPeakReal = 0;
-    std::uint64_t stashOverflows = 0;
-    double avgForwardLevel = 0.0;
+    std::uint64_t requests = 0;   ///< The CPU's reads + writes.
+    PicoJoules energy = 0.0;      ///< Fig. 12.
     unsigned finalPartitionLevel = 0;
-    /** Fault-injection accounting (zero when injection is off). */
-    std::uint64_t faultsInjected = 0;
-    std::uint64_t faultsDetected = 0;
-    std::uint64_t faultsRecovered = 0;
-    std::uint64_t faultsUnrecoverable = 0;
-    /** Recovery-ladder accounting (zero when the ladder is off). */
-    std::uint64_t slotsQuarantined = 0;    ///< Tier-1 quarantines.
-    std::uint64_t quarantineEvacuations = 0;
-    std::uint64_t degradedEntries = 0;     ///< Tier-2 mode entries.
-    std::uint64_t degradedTicks = 0;       ///< Accesses spent degraded.
-    std::uint64_t emergencyEvictions = 0;
-    std::uint64_t rollbacks = 0;           ///< Tier-3 auto-rollbacks.
+    std::uint64_t rollbacks = 0;  ///< Tier-3 auto-rollbacks.
     /** Trace records replayed across all rollbacks (MTTR numerator:
      *  replayedAccesses / rollbacks = mean replay distance). */
     std::uint64_t replayedAccesses = 0;
     /** Per-miss forward times, in trace order (recordPerMiss). */
     std::vector<Cycles> missRetireTimes;
+    OramStats oram;
+    StashStats stash;
+
+    /** Fig. 16: the share of requests served by on-chip state. */
+    double
+    onChipHitRate() const
+    {
+        return requests ? static_cast<double>(oram.onChipHits) /
+                              static_cast<double>(requests)
+                        : 0.0;
+    }
 };
 
 /** Build an LLC-miss trace for a named SPEC-like workload. */

@@ -187,7 +187,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     // The run frame owns the observer, the checkpoint cadence and
     // resume; artifact bytes are identical whether or not anyone is
     // watching, like sim/System.
-    RunFrame frame(cfg.obs, total, session, cfg.checkpointInterval,
+    RunFrame frame(cfg.obs, session, cfg.checkpointInterval,
                    cfg.interruptAfterResolved, "resolved requests");
     obs::RunObserver *const obsPtr = frame.observer();
     obs::HistogramSink *latencyHist = nullptr;

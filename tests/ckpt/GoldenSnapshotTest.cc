@@ -5,7 +5,7 @@
  * Fixed runs are interrupted mid-flight, and the FNV-1a digest of
  * every section of the resulting snapshot is compared against a
  * committed table.  The table pins the byte format of every
- * serialized type at kSnapshotVersion 6: a serde change that moves a
+ * serialized type at kSnapshotVersion 7: a serde change that moves a
  * single byte fails here even when it round-trips with itself.
  *
  * Each run also proves that serialization is a fixed point: every
@@ -441,10 +441,10 @@ TEST_F(CkptGolden, LadderRunReachesQuarantineAndDegradedMode)
     auto trace = makeTrace("mcf", kMisses, kSeed);
     trace.resize(kStopAt);
     const RunMetrics m = runSystem(ladderSystem(), trace);
-    EXPECT_GT(m.slotsQuarantined, 0u);
-    EXPECT_GT(m.quarantineEvacuations, 0u);
-    EXPECT_GT(m.degradedEntries, 0u);
-    EXPECT_GT(m.faultsInjected, 0u);
+    EXPECT_GT(m.oram.slotsQuarantined, 0u);
+    EXPECT_GT(m.oram.quarantineEvacuations, 0u);
+    EXPECT_GT(m.oram.degradedEntries, 0u);
+    EXPECT_GT(m.oram.faultsInjected, 0u);
 }
 
 TEST_F(CkptGolden, SystemComponentsReserializeToSameBytes)
@@ -621,7 +621,9 @@ TEST_F(CkptGolden, RunMetricsReserializeToSameBytes)
     ckpt::Serializer second;
     saveRunMetrics(second, back);
     EXPECT_EQ(first.buffer(), second.buffer());
-    EXPECT_EQ(digest(first.buffer()), 0xccfbd89d10174531ULL);
+    // Version 7: the record carries OramStats and StashStats whole,
+    // in their own serde order, after the run's measured fields.
+    EXPECT_EQ(digest(first.buffer()), 0x0cdf058c5a177f51ULL);
 }
 
 TEST(CkptGoldenObs, RegistryAndSamplerReserializeToSameBytes)

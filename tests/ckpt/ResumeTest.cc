@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -19,13 +21,16 @@
 #include <unistd.h>
 
 #include "../obs/PanicFlightUtil.hh"
+#include "../sim/RunMetricsUtil.hh"
 #include "ckpt/Checkpoint.hh"
 #include "common/Errors.hh"
 #include "common/Logging.hh"
+#include "crypto/Prf.hh"
 #include "sim/ExperimentRunner.hh"
 #include "svc/Service.hh"
 
 using namespace sboram;
+using sboram::test::expectSameMetrics;
 
 namespace {
 
@@ -150,39 +155,6 @@ resumeMatrix()
         matrix.push_back({"tiny-ooo", cfg});
     }
     return matrix;
-}
-
-void
-expectSameMetrics(const RunMetrics &a, const RunMetrics &b)
-{
-    EXPECT_EQ(a.execTime, b.execTime);
-    EXPECT_EQ(a.dataAccessTime, b.dataAccessTime);
-    EXPECT_EQ(a.driTime, b.driTime);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.dummyRequests, b.dummyRequests);
-    EXPECT_EQ(a.stashHits, b.stashHits);
-    EXPECT_EQ(a.shadowStashHits, b.shadowStashHits);
-    EXPECT_EQ(a.shadowForwards, b.shadowForwards);
-    EXPECT_EQ(a.pathReads, b.pathReads);
-    EXPECT_EQ(a.shadowsWritten, b.shadowsWritten);
-    EXPECT_EQ(a.onChipHitRate, b.onChipHitRate);
-    EXPECT_EQ(a.energy, b.energy);
-    EXPECT_EQ(a.stashPeakReal, b.stashPeakReal);
-    EXPECT_EQ(a.stashOverflows, b.stashOverflows);
-    EXPECT_EQ(a.avgForwardLevel, b.avgForwardLevel);
-    EXPECT_EQ(a.finalPartitionLevel, b.finalPartitionLevel);
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-    EXPECT_EQ(a.faultsDetected, b.faultsDetected);
-    EXPECT_EQ(a.faultsRecovered, b.faultsRecovered);
-    EXPECT_EQ(a.faultsUnrecoverable, b.faultsUnrecoverable);
-    EXPECT_EQ(a.slotsQuarantined, b.slotsQuarantined);
-    EXPECT_EQ(a.quarantineEvacuations, b.quarantineEvacuations);
-    EXPECT_EQ(a.degradedEntries, b.degradedEntries);
-    EXPECT_EQ(a.degradedTicks, b.degradedTicks);
-    EXPECT_EQ(a.emergencyEvictions, b.emergencyEvictions);
-    EXPECT_EQ(a.rollbacks, b.rollbacks);
-    EXPECT_EQ(a.replayedAccesses, b.replayedAccesses);
-    EXPECT_EQ(a.missRetireTimes, b.missRetireTimes);
 }
 
 /**
@@ -438,7 +410,7 @@ TEST_F(CkptResume, AutoRollbackCompletesWhatWouldOtherwiseThrow)
     const RunMetrics mA = runSystem(cfg, trace, &a);
     EXPECT_GE(mA.rollbacks, 1u);
     EXPECT_GE(mA.replayedAccesses, 1u);
-    EXPECT_EQ(mA.requests, trace.size() + mA.dummyRequests);
+    EXPECT_EQ(mA.requests, trace.size() + mA.oram.dummyAccesses);
 
     // Recovery itself is deterministic: an identical second run —
     // rollbacks, replays and all — lands on bit-identical metrics.
@@ -522,8 +494,8 @@ TEST_F(CkptResume, QuarantineSpareStoreRoundTripsThroughSnapshot)
     const RunMetrics m0 = runSystem(cfg, trace);
     // The campaign must actually populate the remap machinery, or
     // this proves nothing about its serialization.
-    EXPECT_GT(m0.slotsQuarantined, 0u);
-    EXPECT_GT(m0.quarantineEvacuations, 0u);
+    EXPECT_GT(m0.oram.slotsQuarantined, 0u);
+    EXPECT_GT(m0.oram.quarantineEvacuations, 0u);
 
     TempDir dir;
     const std::uint64_t key = configFingerprint(cfg);
@@ -587,6 +559,87 @@ TEST_F(CkptResume, RunnerAnswersCompletedPointFromDoneMarker)
     // through saveRunMetrics/loadRunMetrics.
     EXPECT_EQ(ckpt::counters().pointsReused.load(), reusedBefore + 1);
     expectSameMetrics(m0, m1);
+}
+
+namespace {
+
+/**
+ * Re-frame a snapshot image under another format version with a MAC
+ * that verifies: what a build at that version would have written for
+ * the same section bytes.  The MAC chain mirrors ckpt/Snapshot.cc's.
+ */
+std::vector<std::uint8_t>
+reframeAsVersion(std::vector<std::uint8_t> image, std::uint32_t version)
+{
+    // The version u32 sits at byte 8, right after the magic.
+    for (int i = 0; i < 4; ++i)
+        image[8 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+    const std::size_t macAt = image.size() - 8;
+    const PrfKey key{0x73626f72616d636bULL, 0x70742d6d61632d31ULL};
+    std::uint64_t tag = prf64(key, 0xa5a5a5a5a5a5a5a5ULL, macAt);
+    std::uint64_t counter = 0;
+    for (std::size_t pos = 0; pos < macAt; pos += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, image.data() + pos,
+                    std::min<std::size_t>(8, macAt - pos));
+        tag = prf64(key, tag ^ word, ++counter);
+    }
+    for (int i = 0; i < 8; ++i)
+        image[macAt + i] = static_cast<std::uint8_t>(tag >> (8 * i));
+    return image;
+}
+
+/** The one completed-point marker in @p dir. */
+std::string
+doneMarker(const std::string &dir)
+{
+    std::vector<std::string> found;
+    if (DIR *d = opendir(dir.c_str())) {
+        while (dirent *e = readdir(d)) {
+            const std::string name = e->d_name;
+            if (name.size() > 5 &&
+                name.compare(name.size() - 5, 5, ".done") == 0)
+                found.push_back(dir + "/" + name);
+        }
+        closedir(d);
+    }
+    EXPECT_EQ(found.size(), 1u);
+    return found.empty() ? std::string() : found.front();
+}
+
+} // namespace
+
+TEST_F(CkptResume, RunnerRerunsPointWhoseDoneMarkerIsVersion6)
+{
+    // A version-6 marker laid out its record in the old field order;
+    // read as today's layout it would yield wrong counters.  It must
+    // be rejected, and the point rerun to the fresh result.
+    SystemConfig cfg = smallSystem(Scheme::Shadow);
+    cfg.recordPerMiss = true;
+
+    TempDir dir;
+    ckpt::setDirectoryForTesting(dir.path().c_str());
+
+    RunMetrics fresh, rerun;
+    {
+        ExperimentRunner runner(1);
+        fresh = runner.submit(cfg, "sjeng", kMisses, kSeed).get();
+    }
+    const std::string done = doneMarker(dir.path());
+    const std::vector<std::uint8_t> image = ckpt::readFile(done);
+    ASSERT_EQ(reframeAsVersion(image, ckpt::kSnapshotVersion), image);
+    ckpt::writeFileAtomic(done, reframeAsVersion(image, 6));
+
+    const std::uint64_t reusedBefore =
+        ckpt::counters().pointsReused.load();
+    {
+        ExperimentRunner runner(1);
+        rerun = runner.submit(cfg, "sjeng", kMisses, kSeed).get();
+    }
+    EXPECT_EQ(ckpt::counters().pointsReused.load(), reusedBefore);
+    expectSameMetrics(fresh, rerun);
+    // The rerun committed a current-version marker in its place.
+    EXPECT_EQ(ckpt::readFile(done), image);
 }
 
 TEST_F(CkptResume, FingerprintIgnoresCadenceButSeesSemantics)

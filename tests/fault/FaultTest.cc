@@ -8,6 +8,7 @@
 #include "common/Errors.hh"
 #include "common/Rng.hh"
 #include "fault/FaultInjector.hh"
+#include "obs/Observer.hh"
 #include "security/InvariantChecker.hh"
 #include "sim/System.hh"
 
@@ -324,6 +325,47 @@ TEST(Scrub, HealsOrReclaimsEveryFaultItCountsAfterRdDupRun)
                         .isReal());
 }
 
+TEST(Scrub, StuckCellItReappliesIsStampedAtItsOwnTimeOnTheCheckpointTrack)
+{
+    // Stuck cells only, armed for the whole run: a real the scrub
+    // heals in a stuck slot is re-corrupted by the scrub's rewrite.
+    OramConfig cfg = faultyConfig(0.05, UnrecoverablePolicy::Count);
+    cfg.fault.bitFlips = false;
+    cfg.fault.droppedWrites = false;
+    cfg.fault.stuckWrites = 1000;
+    ShadowConfig scfg;
+    scfg.mode = ShadowMode::RdOnly;
+    auto fx = makeShadowFixture(cfg, scfg);
+    obs::ObsConfig ocfg;
+    ocfg.trace = true;
+    obs::RunObserver observer(ocfg);
+    fx->oram.setObserver(&observer);
+    drive(fx->oram, 2500, 1 << 10);
+
+    const std::size_t eventsBefore = observer.trace()->eventCount();
+    const std::uint64_t injectedBefore = fx->oram.stats().faultsInjected;
+    fx->oram.scrubStorage();
+    const std::uint64_t reapplied =
+        fx->oram.stats().faultsInjected - injectedBefore;
+    ASSERT_GT(reapplied, 0u) << "the scrub re-applied no stuck cell";
+
+    // The scrub emits nothing else, and each re-application is an
+    // instant at the controller's free time on the checkpoint track,
+    // not at the last path access's start on its track.
+    EXPECT_EQ(observer.trace()->eventCount() - eventsBefore, reapplied);
+    const std::string doc = observer.trace()->render();
+    const std::string expected =
+        "{\"ph\": \"i\", \"pid\": 0, \"tid\": " +
+        std::to_string(obs::kTrackCheckpoint) +
+        ", \"ts\": " + std::to_string(fx->oram.freeAt()) +
+        ", \"name\": \"fault_stuck_reapplied\"";
+    std::uint64_t stamped = 0;
+    for (std::size_t at = doc.find(expected); at != std::string::npos;
+         at = doc.find(expected, at + 1))
+        ++stamped;
+    EXPECT_EQ(stamped, reapplied);
+}
+
 TEST(Scrub, HealsACorruptRealFromAShadowOnItsPathThenStaysClean)
 {
     ShadowConfig scfg;
@@ -424,8 +466,8 @@ TEST(Watchdog, CleanRunPassesAndIsMetricNeutral)
     // The watchdog is read-only: identical simulation results.
     EXPECT_EQ(m.execTime, plain.execTime);
     EXPECT_EQ(m.requests, plain.requests);
-    EXPECT_EQ(m.pathReads, plain.pathReads);
-    EXPECT_EQ(m.shadowsWritten, plain.shadowsWritten);
+    EXPECT_EQ(m.oram.pathReads, plain.oram.pathReads);
+    EXPECT_EQ(m.oram.shadowsWritten, plain.oram.shadowsWritten);
 }
 
 TEST(Watchdog, EnforceThrowsOnCorruptedState)

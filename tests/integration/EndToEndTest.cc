@@ -54,7 +54,7 @@ TEST(EndToEnd, TimingProtectionShape)
     RunMetrics ms = runWorkload(shadow, "h264ref", 3000, 7);
     EXPECT_LT(ms.execTime, mt.execTime);
     // Shadow suppresses some dummy requests by shortening DRIs.
-    EXPECT_LE(ms.dummyRequests, mt.dummyRequests);
+    EXPECT_LE(ms.oram.dummyAccesses, mt.oram.dummyAccesses);
 }
 
 TEST(EndToEnd, RdDupMainlyCutsDriHdDupMainlyCutsDataTime)
@@ -73,7 +73,7 @@ TEST(EndToEnd, RdDupMainlyCutsDriHdDupMainlyCutsDataTime)
     // RD-Dup reduces DRI.
     EXPECT_LT(mr.driTime, mt.driTime);
     // HD-Dup avoids data requests entirely via shadow stash hits.
-    EXPECT_GT(mh.shadowStashHits, mr.shadowStashHits);
+    EXPECT_GT(mh.oram.shadowStashHits, mr.oram.shadowStashHits);
     EXPECT_LT(mh.dataAccessTime, mt.dataAccessTime * 1.02);
 }
 
@@ -89,7 +89,7 @@ TEST(EndToEnd, TreetopHitRateRisesWithShadowBlocks)
 
     RunMetrics mt = runWorkload(tiny, "namd", 3000, 7);
     RunMetrics ms = runWorkload(shadow, "namd", 3000, 7);
-    EXPECT_GT(ms.onChipHitRate, mt.onChipHitRate);
+    EXPECT_GT(ms.onChipHitRate(), mt.onChipHitRate());
 }
 
 TEST(EndToEnd, PayloadIntegrityUnderFullSystem)

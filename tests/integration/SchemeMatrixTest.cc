@@ -58,18 +58,18 @@ TEST_P(SchemeMatrix, RunsWithConsistentMetrics)
     EXPECT_NEAR(m.dataAccessTime + m.driTime,
                 static_cast<double>(m.execTime),
                 static_cast<double>(m.execTime) * 1e-9);
-    EXPECT_GE(m.onChipHitRate, 0.0);
-    EXPECT_LE(m.onChipHitRate, 1.0);
+    EXPECT_GE(m.onChipHitRate(), 0.0);
+    EXPECT_LE(m.onChipHitRate(), 1.0);
     EXPECT_GT(m.energy, 0.0);
     if (p.scheme != Scheme::Insecure) {
-        EXPECT_GT(m.pathReads, 0u);
-        EXPECT_EQ(m.stashOverflows, 0u);
+        EXPECT_GT(m.oram.pathReads, 0u);
+        EXPECT_EQ(m.stash.overflowEvents, 0u);
     }
     if (p.scheme == Scheme::Shadow) {
-        EXPECT_GT(m.shadowsWritten, 0u);
+        EXPECT_GT(m.oram.shadowsWritten, 0u);
     }
     if (!p.tp) {
-        EXPECT_EQ(m.dummyRequests, 0u);
+        EXPECT_EQ(m.oram.dummyAccesses, 0u);
     }
 }
 
@@ -102,7 +102,7 @@ TEST(SchemeMatrixExtras, XorPlusTreetopPlusShadowCompose)
     EXPECT_EQ(m.requests, 800u);
     // XOR disables early forwarding from shadows on path reads, but
     // the rest of the machinery still runs.
-    EXPECT_GT(m.shadowsWritten, 0u);
+    EXPECT_GT(m.oram.shadowsWritten, 0u);
 }
 
 TEST(SchemeMatrixExtras, TinyNeverWritesShadows)
@@ -111,7 +111,7 @@ TEST(SchemeMatrixExtras, TinyNeverWritesShadows)
     cfg.scheme = Scheme::Tiny;
     cfg.oram.dataBlocks = 1 << 13;
     RunMetrics m = runWorkload(cfg, "bzip2", 800, 4);
-    EXPECT_EQ(m.shadowsWritten, 0u);
-    EXPECT_EQ(m.shadowForwards, 0u);
-    EXPECT_EQ(m.shadowStashHits, 0u);
+    EXPECT_EQ(m.oram.shadowsWritten, 0u);
+    EXPECT_EQ(m.oram.shadowForwards, 0u);
+    EXPECT_EQ(m.oram.shadowStashHits, 0u);
 }

@@ -181,7 +181,7 @@ TEST(Observer, EveryInjectedFaultIsOneTraceInstant)
         countToken(traceDoc, "\"name\": \"fault_stuck_reapplied\"");
     EXPECT_GT(planted, 0u);
     EXPECT_GT(reapplied, 0u);
-    EXPECT_EQ(planted + reapplied, m.faultsInjected);
+    EXPECT_EQ(planted + reapplied, m.oram.faultsInjected);
 }
 
 TEST(Observer, ObservedRunMatchesUnobservedMetrics)
@@ -197,8 +197,8 @@ TEST(Observer, ObservedRunMatchesUnobservedMetrics)
     const RunMetrics b = runSystem(plain, trace);
     EXPECT_EQ(a.execTime, b.execTime);
     EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.pathReads, b.pathReads);
-    EXPECT_EQ(a.shadowForwards, b.shadowForwards);
+    EXPECT_EQ(a.oram.pathReads, b.oram.pathReads);
+    EXPECT_EQ(a.oram.shadowForwards, b.oram.shadowForwards);
     EXPECT_EQ(a.energy, b.energy);
 }
 

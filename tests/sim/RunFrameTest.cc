@@ -92,7 +92,7 @@ TEST_F(RunFrameCadence, ScrubVetoCommitsNothingButMovesCadenceAndStops)
 {
     TempDir dir;
     ckpt::CheckpointSession session(dir.path(), 0x5eed);
-    RunFrame frame(obs::ObsConfig{}, 100, &session, 10, 0, "units");
+    RunFrame frame(obs::ObsConfig{}, &session, 10, 0, "units");
     std::uint64_t count = 0;
     bool veto = true;
     unsigned scrubs = 0;

@@ -40,7 +40,7 @@ TEST(SystemFeatures, ExplicitTpIntervalRespected)
     RunMetrics slack = runWorkload(cfg, "gobmk", 1500, 3);
     cfg.tpInterval = 900;   // Tight slots → many dummies.
     RunMetrics tight = runWorkload(cfg, "gobmk", 1500, 3);
-    EXPECT_GT(tight.dummyRequests, slack.dummyRequests);
+    EXPECT_GT(tight.oram.dummyAccesses, slack.oram.dummyAccesses);
 }
 
 TEST(SystemFeatures, VirtualDummiesDrivePartitionWithoutTp)

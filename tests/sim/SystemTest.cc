@@ -58,7 +58,7 @@ TEST(System, ShadowNotSlowerThanTiny)
     RunMetrics shadow = runWorkload(sh, "mcf", kMisses, 1);
     EXPECT_LE(static_cast<double>(shadow.execTime),
               static_cast<double>(tiny.execTime) * 1.02);
-    EXPECT_GT(shadow.shadowsWritten, 0u);
+    EXPECT_GT(shadow.oram.shadowsWritten, 0u);
 }
 
 TEST(System, TimingProtectionAddsDummies)
@@ -66,11 +66,11 @@ TEST(System, TimingProtectionAddsDummies)
     SystemConfig cfg = smallSystem(Scheme::Tiny);
     cfg.timingProtection = true;
     RunMetrics m = runWorkload(cfg, "gobmk", kMisses, 1);
-    EXPECT_GT(m.dummyRequests, 0u);
+    EXPECT_GT(m.oram.dummyAccesses, 0u);
 
     SystemConfig noTp = smallSystem(Scheme::Tiny);
     RunMetrics m2 = runWorkload(noTp, "gobmk", kMisses, 1);
-    EXPECT_EQ(m2.dummyRequests, 0u);
+    EXPECT_EQ(m2.oram.dummyAccesses, 0u);
     // TP never speeds the program up.
     EXPECT_GE(m.execTime, m2.execTime);
 }
@@ -83,7 +83,7 @@ TEST(System, RdDupShrinksDri)
     RunMetrics mt = runWorkload(tiny, "h264ref", kMisses, 1);
     RunMetrics mr = runWorkload(rd, "h264ref", kMisses, 1);
     EXPECT_LT(mr.driTime, mt.driTime);
-    EXPECT_GT(mr.shadowForwards, 0u);
+    EXPECT_GT(mr.oram.shadowForwards, 0u);
 }
 
 TEST(System, HdDupProducesShadowStashHits)
@@ -91,7 +91,7 @@ TEST(System, HdDupProducesShadowStashHits)
     SystemConfig hd = smallSystem(Scheme::Shadow);
     hd.shadow.mode = ShadowMode::HdOnly;
     RunMetrics m = runWorkload(hd, "namd", kMisses, 1);
-    EXPECT_GT(m.shadowStashHits, 0u);
+    EXPECT_GT(m.oram.shadowStashHits, 0u);
 }
 
 TEST(System, OutOfOrderRaisesMemoryPressure)
@@ -124,9 +124,9 @@ TEST(System, OnChipHitRateWithinBounds)
     SystemConfig cfg = smallSystem(Scheme::Shadow);
     cfg.oram.treetopLevels = 3;
     RunMetrics m = runWorkload(cfg, "namd", kMisses, 1);
-    EXPECT_GE(m.onChipHitRate, 0.0);
-    EXPECT_LE(m.onChipHitRate, 1.0);
-    EXPECT_GT(m.onChipHitRate, 0.01);
+    EXPECT_GE(m.onChipHitRate(), 0.0);
+    EXPECT_LE(m.onChipHitRate(), 1.0);
+    EXPECT_GT(m.onChipHitRate(), 0.01);
 }
 
 TEST(System, DeterministicAcrossRuns)
@@ -168,6 +168,6 @@ TEST(System, NoStashOverflowAcrossSchemes)
 {
     for (Scheme s : {Scheme::Tiny, Scheme::Shadow}) {
         RunMetrics m = runWorkload(smallSystem(s), "mcf", kMisses, 2);
-        EXPECT_EQ(m.stashOverflows, 0u);
+        EXPECT_EQ(m.stash.overflowEvents, 0u);
     }
 }
