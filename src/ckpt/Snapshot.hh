@@ -86,6 +86,12 @@ class SnapshotWriter
     /** Serializer for the given section (created on first use). */
     Serializer &section(std::uint32_t id);
 
+    // The save side of a snapshot layout (see loadLayout below).
+    template <class Body>
+    void section(std::uint32_t id, Body &&body) { body(section(id)); }
+    template <class Body>
+    void optional(std::uint32_t id, Body &&body) { body(section(id)); }
+
     /**
      * Frame everything into a verifiable byte image.  The writer is
      * spent afterwards.
@@ -124,6 +130,59 @@ class SnapshotReader
     /// id -> (offset into _image, length).
     std::map<std::uint32_t, std::pair<std::size_t, std::size_t>> _sections;
 };
+
+/**
+ * Snapshot layouts (DESIGN.md §7, "Serde convention").  A layout is a
+ * generic callable over an io object that names each of its sections
+ * once, in write order, with the section's serde body:
+ *
+ *     auto layout = [&](auto &io) {
+ *         io.section(kSectionCpu, [&](auto &ar) { ar.nested(cursor); });
+ *         io.optional(kSectionObs, [&](auto &ar) { ar.nested(obs); });
+ *     };
+ *
+ * Saving runs it once over the SnapshotWriter itself.  loadLayout()
+ * runs it twice over a SectionLoader: a presence pass that throws
+ * CkptMismatchError naming the first missing required section, then
+ * the load pass, so a snapshot that lacks a section is rejected
+ * before anything changes.  An optional section loads only when
+ * present.  A check across sections goes in the loading side of the
+ * later section's body, which runs after the earlier one has loaded.
+ */
+struct SectionLoader
+{
+    const SnapshotReader &reader;
+    bool load;  ///< False: the presence pass.
+
+    template <class Body>
+    void
+    section(std::uint32_t id, Body &&body)
+    {
+        Deserializer in = reader.section(id);  // Throws when absent.
+        if (load)
+            body(in);
+    }
+
+    template <class Body>
+    void
+    optional(std::uint32_t id, Body &&body)
+    {
+        if (reader.hasSection(id))
+            section(id, body);
+    }
+};
+
+/** Load @p layout's sections once every required one is known
+ *  present. */
+template <class Layout>
+void
+loadLayout(const SnapshotReader &reader, const Layout &layout)
+{
+    SectionLoader check{reader, false};
+    layout(check);
+    SectionLoader load{reader, true};
+    layout(load);
+}
 
 /**
  * Crash-consistent file write: temp file in the same directory,

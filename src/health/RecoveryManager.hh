@@ -129,8 +129,6 @@ class RecoveryManager
      */
     int noteServicePressure(bool active);
 
-    bool servicePressure() const { return _servicePressure; }
-
     /**
      * True when shadow duplication must pause: either the tier-2
      * stash latch or the service-pressure latch is set.  Suppressing

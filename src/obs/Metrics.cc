@@ -112,8 +112,8 @@ MetricRegistry::serde(Self &self, Ar &ar)
     std::vector<Named<Counter>> counters;
     std::vector<Named<HistogramSink>> histograms;
     if constexpr (!Ar::kLoading) {
-        counters = self._counters;
-        histograms = self._histograms;
+        counters.assign(self._counters.begin(), self._counters.end());
+        histograms.assign(self._histograms.begin(), self._histograms.end());
     }
     ar.seq(counters, [&](auto &c) {
         ar.str(c.name);

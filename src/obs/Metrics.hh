@@ -25,6 +25,7 @@
 #define SBORAM_OBS_METRICS_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -221,8 +222,6 @@ class MetricRegistry
     std::vector<std::string> sampleNames() const;
 
     std::size_t counterCount() const { return _counters.size(); }
-    std::size_t gaugeCount() const { return _gauges.size(); }
-    std::size_t histogramCount() const { return _histograms.size(); }
 
     /** Named histogram rows for the artifact footer. */
     struct NamedHistogram
@@ -247,9 +246,11 @@ class MetricRegistry
         T item;
     };
 
-    std::vector<Named<Counter>> _counters;
+    // Deques: counter() and histogramLog2() hand out references that
+    // callers keep across later registrations.
+    std::deque<Named<Counter>> _counters;
     std::vector<Named<std::function<double()>>> _gauges;
-    std::vector<Named<HistogramSink>> _histograms;
+    std::deque<Named<HistogramSink>> _histograms;
 };
 
 /**

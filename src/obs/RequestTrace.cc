@@ -63,8 +63,9 @@ TimelineRecord::serde(Self &self, Ar &ar)
     std::uint64_t nSegs = self._nSegs;
     ar.u64(nSegs);
     if constexpr (Ar::kLoading) {
-        SB_ASSERT(nSegs <= kMaxSegs,
-                  "timeline record overflows its segment array");
+        if (nSegs > kMaxSegs)
+            throw CkptMismatchError(
+                "timeline record overflows its segment array");
         self._nSegs = static_cast<std::size_t>(nSegs);
     }
     for (std::size_t i = 0; i < self._nSegs; ++i)

@@ -193,7 +193,7 @@ TinyOram::estimatePathReadLatency()
 }
 
 void
-TinyOram::maybeInjectFaults(LeafLabel leaf)
+TinyOram::maybeInjectFaults(LeafLabel leaf, unsigned track, Cycles at)
 {
     // Scheduled off the path-read counter: one deterministic draw
     // per path access, independent of thread count and of how many
@@ -231,7 +231,7 @@ TinyOram::maybeInjectFaults(LeafLabel leaf)
                      _faults->pickKind(tick), slotIdx);
     ++_stats.faultsInjected;
     if (obs::TraceSession *t = trace())
-        t->instant(_obsPathTrack, "fault_injected", _obsPathStart);
+        t->instant(track, "fault_injected", at);
 }
 
 bool
@@ -320,12 +320,12 @@ TinyOram::handleUnrecoverable(const Slot &slot, BucketIndex bucket,
 }
 
 SB_HOT void
-TinyOram::countFault(std::uint64_t slotIdx, Cycles at,
-                     obs::TraceSession *t, bool recovered)
+TinyOram::countFault(std::uint64_t slotIdx, Cycles at, bool recovered,
+                     obs::TraceSession *t, unsigned track)
 {
     ++_stats.faultsDetected;
     if (t)
-        t->instant(_obsPathTrack, "fault_detected", at);
+        t->instant(track, "fault_detected", at);
     // Tier-1 bookkeeping: repeated detected failures of one physical
     // slot quarantine it.
     if (_health.recordSlotFailure(slotIdx)) {
@@ -334,23 +334,24 @@ TinyOram::countFault(std::uint64_t slotIdx, Cycles at,
             _flight->record(at, obs::FlightKind::SlotQuarantine,
                             slotIdx);
         if (t)
-            t->instant(_obsPathTrack, "slot_quarantined", at);
+            t->instant(track, "slot_quarantined", at);
     }
     if (recovered)
         ++_stats.faultsRecovered;
     else
         ++_stats.faultsUnrecoverable;
     if (t)
-        t->instant(_obsPathTrack,
+        t->instant(track,
                    recovered ? "fault_recovered" : "fault_unrecoverable",
                    at);
 }
 
 SB_HOT void
 TinyOram::reclaimCorruptShadow(Slot &slot, std::uint64_t slotIdx,
-                               Cycles at, obs::TraceSession *t)
+                               Cycles at, obs::TraceSession *t,
+                               unsigned track)
 {
-    countFault(slotIdx, at, t, true);
+    countFault(slotIdx, at, true, t, track);
     slot.clear();
     _tree.eraseCipher(slotIdx);
 }
@@ -358,17 +359,17 @@ TinyOram::reclaimCorruptShadow(Slot &slot, std::uint64_t slotIdx,
 SB_HOT bool
 TinyOram::healTagFailure(Slot &slot, std::uint64_t slotIdx,
                          BucketIndex bucket, unsigned level,
-                         LeafLabel leaf, Cycles at,
+                         LeafLabel leaf, Cycles at, unsigned track,
                          std::vector<std::uint64_t> &payload)
 {
     obs::TraceSession *t = trace();
     if (slot.isShadow()) {
         _payloadPool.release(std::move(payload));
-        reclaimCorruptShadow(slot, slotIdx, at, t);
+        reclaimCorruptShadow(slot, slotIdx, at, t, track);
         return false;
     }
     const bool healed = recoverRealPayload(slot, level, leaf, payload);
-    countFault(slotIdx, at, t, healed);
+    countFault(slotIdx, at, healed, t, track);
     if (!healed) {
         // sblint:allow-next-line(hot-path-alloc): unrecoverable-fault exit — formats the fatal diagnostic once, then the ladder unwinds; never on a healthy access
         handleUnrecoverable(slot, bucket, level, payload);
@@ -417,16 +418,12 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
     ++_stats.pathReads;
     if (_traceSink)
         _traceSink->onPathAccess(leaf, false);
-    if (_obs) {
-        // Evictions drain in the background and outlive the request
-        // that triggered them, so they get their own trace track.
-        _obsPathTrack = mode == ReadMode::Evict
-            ? obs::kTrackEviction
-            : obs::kTrackPipeline;
-        _obsPathStart = startTime;
-    }
+    // Evictions drain in the background and outlive the request that
+    // triggered them, so they get their own trace track.
+    const unsigned track = mode == ReadMode::Evict ? obs::kTrackEviction
+                                                   : obs::kTrackPipeline;
     if (_faults)
-        maybeInjectFaults(leaf);
+        maybeInjectFaults(leaf, track, startTime);
 
     const unsigned ttl = _cfg.treetopLevels;
     _tree.bucketsOnPath(leaf, _pathBuckets);
@@ -442,11 +439,11 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                  _cfg.aesLatency;
 
     if (obs::TraceSession *t = trace()) {
-        t->complete(_obsPathTrack,
+        t->complete(track,
                     mode == ReadMode::Evict ? "evict_path_read"
                                             : "path_read",
                     startTime, out.finish - startTime);
-        t->complete(_obsPathTrack, "crypto",
+        t->complete(track, "crypto",
                     out.finish - _cfg.aesLatency, _cfg.aesLatency);
     }
 
@@ -568,7 +565,7 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                 }
                 if (!authentic &&
                     !healTagFailure(slot, slotIdx, b, level, leaf, ready,
-                                    e.payload))
+                                    track, e.payload))
                     continue;  // A corrupt shadow copy was dropped.
             }
             if (mode == ReadMode::Evict && e.isShadow()) {
@@ -606,10 +603,6 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
     ++_stats.pathWrites;
     if (_traceSink)
         _traceSink->onPathAccess(leaf, true);
-    if (_obs) {
-        _obsPathTrack = obs::kTrackEviction;
-        _obsPathStart = startTime;
-    }
     _policy->beginPathWrite(leaf);
 
     _tree.bucketsOnPath(leaf, _pathBuckets);
@@ -991,7 +984,7 @@ TinyOram::scrubStorage()
                 continue;
             if (slot.isShadow()) {
                 // A lost redundant copy, never lost data.
-                reclaimCorruptShadow(slot, slotIdx, _freeAt, nullptr);
+                reclaimCorruptShadow(slot, slotIdx, _freeAt);
                 continue;
             }
             // Heal from the places the read path heals from, searched
@@ -1003,7 +996,7 @@ TinyOram::scrubStorage()
                 clean = false;
                 continue;
             }
-            countFault(slotIdx, _freeAt, nullptr, true);
+            countFault(slotIdx, _freeAt, true);
             if (parkIfQuarantined(slotIdx, plain.data()))
                 continue;
             _codec.encryptRef(plain.data(), _tree.cipherRef(slotIdx));
@@ -1055,10 +1048,7 @@ TinyOram::accessOne(Addr addr, Cycles startTime, Op op,
                        read.forwardAt);
     }
 
-    ++_accessCounter;
-    _policy->onRequestClassified(false);
-    maybeEvict(read.finish);
-    applyBackpressure(read.finish);
+    endAccess(false, read.finish);
     res.completeAt = read.finish;
     return res;
 }
@@ -1164,12 +1154,18 @@ TinyOram::dummyAccess(Cycles issueTime)
     if (obs::TraceSession *ts = trace())
         ts->complete(obs::kTrackPipeline, "dummy_access", t,
                      read.finish - t);
-    ++_accessCounter;
-    _policy->onRequestClassified(true);
-    maybeEvict(read.finish);
-    applyBackpressure(read.finish);
+    endAccess(true, read.finish);
     _freeAt = read.finish;
     return _freeAt;
+}
+
+void
+TinyOram::endAccess(bool dummy, Cycles finish)
+{
+    ++_accessCounter;
+    _policy->onRequestClassified(dummy);
+    maybeEvict(finish);
+    applyBackpressure(finish);
 }
 
 std::vector<std::uint64_t>

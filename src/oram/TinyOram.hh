@@ -309,11 +309,11 @@ class TinyOram
      * real has @p payload rebuilt from a same-version shadow (the
      * duplication the policies keep for latency doubles as
      * redundancy) or, failing that, handed to handleUnrecoverable;
-     * the result is true.
+     * the result is true.  Trace instants go on @p track at @p at.
      */
     SB_HOT bool healTagFailure(Slot &slot, std::uint64_t slotIdx,
                                BucketIndex bucket, unsigned level,
-                               LeafLabel leaf, Cycles at,
+                               LeafLabel leaf, Cycles at, unsigned track,
                                std::vector<std::uint64_t> &payload);
 
     /**
@@ -365,6 +365,11 @@ class TinyOram
      */
     void applyBackpressure(Cycles time);
 
+    /** The end of every path access, real or @p dummy: the access
+     *  counter, the DRI classification, the eviction slot and tier-2
+     *  backpressure, all at the read's @p finish. */
+    void endAccess(bool dummy, Cycles finish);
+
     /** One request-serving ORAM access for @p addr. */
     AccessResult accessOne(Addr addr, Cycles startTime,
                            Op op = Op::Read,
@@ -376,8 +381,9 @@ class TinyOram
     /** Reverse-lexicographic eviction leaf sequence. */
     LeafLabel nextEvictionLeaf();
 
-    /** Plant this path access's scheduled fault, if any. */
-    void maybeInjectFaults(LeafLabel leaf);
+    /** Plant this path access's scheduled fault, if any; its trace
+     *  instant goes on the read's @p track at its start @p at. */
+    void maybeInjectFaults(LeafLabel leaf, unsigned track, Cycles at);
 
     /**
      * Self-healing (the duplication mechanism as a reliability win):
@@ -395,15 +401,17 @@ class TinyOram
      * Account one detected tag failure of @p slotIdx: the detected
      * and recovered (or unrecoverable) counters, the tier-1 failure
      * count with its quarantine flight record, and — when @p t is
-     * given — the matching trace instants at @p at.
+     * given — the matching trace instants on @p track at @p at.
      */
-    SB_HOT void countFault(std::uint64_t slotIdx, Cycles at,
-                           obs::TraceSession *t, bool recovered);
+    SB_HOT void countFault(std::uint64_t slotIdx, Cycles at, bool recovered,
+                           obs::TraceSession *t = nullptr,
+                           unsigned track = 0);
 
     /** Count a corrupt shadow as detected and recovered, and free
      *  its slot. */
     SB_HOT void reclaimCorruptShadow(Slot &slot, std::uint64_t slotIdx,
-                                     Cycles at, obs::TraceSession *t);
+                                     Cycles at, obs::TraceSession *t = nullptr,
+                                     unsigned track = 0);
 
     /**
      * Tier-1 spare-store remap: when @p slotIdx is quarantined, park
@@ -508,11 +516,6 @@ class TinyOram
     TraceSink *_traceSink = nullptr;
     obs::RunObserver *_obs = nullptr;
     obs::FlightRecorder *_flight = nullptr;
-    /** Start time / trace track of the path access in flight, so the
-     *  fault-injector callback (which has no cycle context) can
-     *  timestamp its instant events. */
-    Cycles _obsPathStart = 0;
-    unsigned _obsPathTrack = 0;
     OramStats _stats;
 
     /** Recycled payload buffers (see VectorPool) — path reads pull

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <type_traits>
 
 #include "common/Errors.hh"
 #include "common/Logging.hh"
@@ -96,47 +97,36 @@ Controller::publishFlight() const
     return dump;
 }
 
-template <class Self, class Ar>
+template <class Self, class Io>
 void
-Controller::serdePort(Self &self, Ar &ar, std::uint64_t &dummies)
+Controller::sections(Self &self, Io &io)
 {
-    ar.u64(self._sinceWatchdog);
-    ar.u64(self._nextSlot);
-    ar.u64(self._lastComplete);
-    ar.u64(self._dataBusy);
-    ar.u64(dummies);
+    // The port's fifth word is the ORAM's dummy count, checked against
+    // kSectionOram once both have loaded.
+    std::uint64_t dummies = self._oram.stats().dummyAccesses;
+    io.section(ckpt::kSectionPort, [&](auto &ar) {
+        ar.u64(self._sinceWatchdog);
+        ar.u64(self._nextSlot);
+        ar.u64(self._lastComplete);
+        ar.u64(self._dataBusy);
+        ar.u64(dummies);
+    });
+    io.section(ckpt::kSectionOram, [&](auto &ar) {
+        ar.nested(self._oram);
+        if constexpr (std::remove_reference_t<decltype(ar)>::kLoading)
+            if (dummies != self._oram.stats().dummyAccesses)
+                throw CkptMismatchError("the port and ORAM sections "
+                                        "disagree on the dummy access count");
+    });
+    if (self._shadowPolicy != nullptr)
+        io.section(ckpt::kSectionPolicy,
+                   [&](auto &ar) { ar.nested(*self._shadowPolicy); });
+    io.section(ckpt::kSectionDram, [&](auto &ar) { ar.nested(self._dram); });
 }
 
-void
-Controller::save(ckpt::SnapshotWriter &writer) const
-{
-    std::uint64_t dummies = _oram.stats().dummyAccesses;
-    serdePort(*this, writer.section(ckpt::kSectionPort), dummies);
-    _oram.saveState(writer.section(ckpt::kSectionOram));
-    if (_shadowPolicy != nullptr)
-        _shadowPolicy->saveState(writer.section(ckpt::kSectionPolicy));
-    _dram.saveState(writer.section(ckpt::kSectionDram));
-}
-
-void
-Controller::restore(const ckpt::SnapshotReader &reader)
-{
-    auto dPort = reader.section(ckpt::kSectionPort);
-    auto dOram = reader.section(ckpt::kSectionOram);
-    auto dDram = reader.section(ckpt::kSectionDram);
-    if (_shadowPolicy != nullptr) {
-        // The last fetch, so loading right after it still mutates
-        // nothing before every section is known present.
-        auto dPol = reader.section(ckpt::kSectionPolicy);
-        _shadowPolicy->loadState(dPol);
-    }
-    std::uint64_t dummies = 0;
-    serdePort(*this, dPort, dummies);
-    _oram.loadState(dOram);
-    _dram.loadState(dDram);
-    if (dummies != _oram.stats().dummyAccesses)
-        throw CkptMismatchError("the port and ORAM sections disagree "
-                                "on the dummy access count");
-}
+template void Controller::sections(const Controller &,
+                                   ckpt::SnapshotWriter &);
+template void Controller::sections(Controller &, ckpt::SnapshotWriter &);
+template void Controller::sections(Controller &, ckpt::SectionLoader &);
 
 } // namespace sboram

@@ -14,7 +14,8 @@
  * virtual-dummy classification of idle gaps for the DRI counter, and
  * the opt-in invariant watchdog.  The controller also owns
  * construction, observer attachment, the flight label with its panic
- * and end-of-run publication, and four snapshot sections.
+ * and end-of-run publication, and a snapshot layout of four sections
+ * that each run loop's own layout includes.
  */
 
 #ifndef SBORAM_SIM_CONTROLLER_HH
@@ -84,23 +85,29 @@ class Controller
      *  was recorded, and return it. */
     std::string publishFlight() const;
 
-    /** Write kSectionPort, kSectionOram, kSectionPolicy (Shadow only)
-     *  and kSectionDram, in that order. */
-    void save(ckpt::SnapshotWriter &writer) const;
-
     /**
-     * Restore the sections save() wrote.  Every section is fetched
-     * before any is loaded, so a snapshot that lacks one throws
-     * CkptMismatchError with the controller untouched.
+     * The controller's snapshot layout (ckpt/Snapshot.hh):
+     * kSectionPort, kSectionOram, kSectionPolicy (Shadow only) and
+     * kSectionDram, in that order.  Once kSectionOram has loaded, the
+     * port's dummy count must equal the restored ORAM's, else
+     * CkptMismatchError.  A run loop calls this inside its own layout
+     * with Self = Controller; save() with Self = const Controller.
      */
-    void restore(const ckpt::SnapshotReader &reader);
+    template <class Self, class Io>
+    static void sections(Self &self, Io &io);
+
+    /** Write sections() alone. */
+    void save(ckpt::SnapshotWriter &writer) const { sections(*this, writer); }
+
+    /** Load sections() alone: a snapshot that lacks one throws
+     *  CkptMismatchError with the controller untouched. */
+    void
+    restore(const ckpt::SnapshotReader &reader)
+    {
+        ckpt::loadLayout(reader, [this](auto &io) { sections(*this, io); });
+    }
 
   private:
-    /** kSectionPort; the fifth word is the ORAM's dummy count,
-     *  checked against kSectionOram on load. */
-    template <class Self, class Ar>
-    static void serdePort(Self &self, Ar &ar, std::uint64_t &dummies);
-
     DramModel _dram;
     ShadowPolicy *_shadowPolicy = nullptr;  ///< Owned by _oram.
     TinyOram _oram;

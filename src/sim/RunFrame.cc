@@ -19,31 +19,13 @@ RunFrame::RunFrame(const obs::ObsConfig &obsCfg,
 }
 
 void
-RunFrame::saveAll(ckpt::SnapshotWriter &writer)
-{
-    _save(writer);
-    if (_observer)
-        _observer->saveState(writer.section(ckpt::kSectionObs));
-}
-
-void
 RunFrame::commit()
 {
     ckpt::SnapshotWriter writer;
-    saveAll(writer);
+    _save(writer);
     _session->commitSnapshot(writer);
     if (_commits != nullptr)
         _commits->add();
-}
-
-void
-RunFrame::restore(const ckpt::SnapshotReader &reader)
-{
-    _lastAt = _load(reader);
-    if (_observer && reader.hasSection(ckpt::kSectionObs)) {
-        auto dObs = reader.section(ckpt::kSectionObs);
-        _observer->loadState(dObs);
-    }
 }
 
 void

@@ -5,8 +5,9 @@
  * optional RunObserver, the checkpoint cadence, resume through
  * CheckpointSession::loadLatest and the optional kSectionObs, written
  * last and restored last (DESIGN.md §7, "Wiring").  Each loop binds
- * only its own sections and reports its own count: accesses done for
- * batch, resolved requests for the service.
+ * one snapshot layout (ckpt/Snapshot.hh) that lists its own sections
+ * once, and its own count: accesses done for batch, resolved requests
+ * for the service.
  */
 
 #ifndef SBORAM_SIM_RUNFRAME_HH
@@ -28,11 +29,6 @@ namespace sboram {
 class RunFrame
 {
   public:
-    /** Write the loop's own sections. */
-    using SaveFn = std::function<void(ckpt::SnapshotWriter &)>;
-    /** Fetch every one of the loop's own sections, then load them;
-     *  return the restored count. */
-    using LoadFn = std::function<std::uint64_t(const ckpt::SnapshotReader &)>;
     /** Pre-commit scrub: false vetoes the commit. */
     using ScrubFn = std::function<bool()>;
 
@@ -69,11 +65,25 @@ class RunFrame
     /** True when step() can never act and no observer listens. */
     bool idle() const { return !_session && !_interruptAfter && !_observer; }
 
+    /**
+     * Bind the loop's snapshot @p layout, to which the frame appends
+     * the optional kSectionObs when it observes, and the loop's count
+     * @p done, read after each restore.  @p done and what @p layout
+     * captures must outlive the frame.
+     */
+    template <class Layout>
     void
-    bind(SaveFn save, LoadFn load, ScrubFn scrub = nullptr)
+    bind(Layout layout, const std::uint64_t &done, ScrubFn scrub = nullptr)
     {
-        _save = std::move(save);
-        _load = std::move(load);
+        const auto all = [this, layout](auto &io) {
+            layout(io);
+            if (_observer)
+                io.optional(ckpt::kSectionObs,
+                            [this](auto &ar) { ar.nested(*_observer); });
+        };
+        _save = all;
+        _load = all;
+        _done = &done;
         _scrub = std::move(scrub);
     }
 
@@ -82,7 +92,7 @@ class RunFrame
     image()
     {
         ckpt::SnapshotWriter writer;
-        saveAll(writer);
+        _save(writer);
         return writer.finish(0, 0);
     }
 
@@ -99,8 +109,13 @@ class RunFrame
         return reader != nullptr;
     }
 
-    /** Restore @p reader: the loop's sections, then kSectionObs. */
-    void restore(const ckpt::SnapshotReader &reader);
+    /** Restore @p reader through the bound layout. */
+    void
+    restore(const ckpt::SnapshotReader &reader)
+    {
+        ckpt::loadLayout(reader, _load);
+        _lastAt = *_done;
+    }
 
     /**
      * The cadence at a boundary where @p done units are counted, at
@@ -122,16 +137,15 @@ class RunFrame
     }
 
   private:
-    void saveAll(ckpt::SnapshotWriter &writer);
-
     std::unique_ptr<obs::RunObserver> _observer;
     ckpt::CheckpointSession *_session;
     std::uint64_t _interval;
     std::uint64_t _interruptAfter;
     const char *_unit;
     obs::Counter *_commits = nullptr;
-    SaveFn _save;
-    LoadFn _load;
+    std::function<void(ckpt::SnapshotWriter &)> _save;
+    std::function<void(ckpt::SectionLoader &)> _load;
+    const std::uint64_t *_done = nullptr;
     ScrubFn _scrub;
     /** Count at the last commit or veto; the next one is due from it. */
     std::uint64_t _lastAt = 0;

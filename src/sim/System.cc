@@ -149,25 +149,17 @@ runSystem(const SystemConfig &cfg,
         if (obsPtr != nullptr)
             obsPtr->sealRegistry();
         frame.bind(
-            [&](ckpt::SnapshotWriter &w) {
-                cursor.saveState(w.section(ckpt::kSectionCpu));
-                mem.saveState(w.section(ckpt::kSectionMem));
-                dram.saveState(w.section(ckpt::kSectionDram));
-                serdeCarried(m, w.section(ckpt::kSectionMetrics));
+            [&](auto &io) {
+                io.section(ckpt::kSectionCpu,
+                           [&](auto &ar) { ar.nested(cursor); });
+                io.section(ckpt::kSectionMem,
+                           [&](auto &ar) { ar.nested(mem); });
+                io.section(ckpt::kSectionDram,
+                           [&](auto &ar) { ar.nested(dram); });
+                io.section(ckpt::kSectionMetrics,
+                           [&](auto &ar) { serdeCarried(m, ar); });
             },
-            [&](const ckpt::SnapshotReader &reader) {
-                // Fetch every section first so a structurally wrong
-                // snapshot is rejected before any state mutates.
-                auto dCpu = reader.section(ckpt::kSectionCpu);
-                auto dMem = reader.section(ckpt::kSectionMem);
-                auto dDram = reader.section(ckpt::kSectionDram);
-                auto dMet = reader.section(ckpt::kSectionMetrics);
-                cursor.loadState(dCpu);
-                mem.loadState(dMem);
-                dram.loadState(dDram);
-                serdeCarried(m, dMet);
-                return cursor.accessesDone;
-            });
+            cursor.accessesDone);
         frame.resume();
         CpuRunResult r = runCpu([&mem](Addr a, Op op, Cycles t) {
             return mem.access(a, op, t).forwardAt;
@@ -272,27 +264,16 @@ runSystem(const SystemConfig &cfg,
     if (autoRollback)
         scrub = [&oram] { return oram.scrubStorage(); };
     frame.bind(
-        [&](ckpt::SnapshotWriter &w) {
-            cursor.saveState(w.section(ckpt::kSectionCpu));
-            ctrl.save(w);
-            serdeCarried(m, w.section(ckpt::kSectionMetrics));
-            flight.saveState(w.section(ckpt::kSectionReqObs));
+        [&](auto &io) {
+            io.section(ckpt::kSectionCpu,
+                       [&](auto &ar) { ar.nested(cursor); });
+            Controller::sections(ctrl, io);
+            io.section(ckpt::kSectionMetrics,
+                       [&](auto &ar) { serdeCarried(m, ar); });
+            io.section(ckpt::kSectionReqObs,
+                       [&](auto &ar) { ar.nested(flight); });
         },
-        [&](const ckpt::SnapshotReader &reader) {
-            // Fetch every section first so a structurally wrong
-            // snapshot is rejected before any state mutates.
-            auto dCpu = reader.section(ckpt::kSectionCpu);
-            auto dMet = reader.section(ckpt::kSectionMetrics);
-            ctrl.restore(reader);
-            cursor.loadState(dCpu);
-            serdeCarried(m, dMet);
-            if (reader.hasSection(ckpt::kSectionReqObs)) {
-                auto dReq = reader.section(ckpt::kSectionReqObs);
-                flight.loadState(dReq);
-            }
-            return cursor.accessesDone;
-        },
-        scrub);
+        cursor.accessesDone, scrub);
     // Auto-rollback's last line of defense: a fault can corrupt a
     // stored ciphertext long before the next read detects it, so a
     // cadence snapshot taken in that window captures the poison and

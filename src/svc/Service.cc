@@ -411,15 +411,17 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         constexpr bool loading =
             std::remove_reference_t<decltype(ar)>::kLoading;
         // Timeline records travel in queue order; slots themselves
-        // are re-acquired deterministically on restore.
+        // are re-acquired deterministically on restore, from a pool
+        // as deep as the admission queue.
         std::uint64_t recs = queue.size();
         ar.u64(recs);
         if constexpr (loading)
-            SB_ASSERT(recs == queue.size(),
-                      "request-obs section carries %llu timeline "
-                      "records for a queue of depth %zu",
-                      static_cast<unsigned long long>(recs),
-                      queue.size());
+            if (recs != queue.size() || recs > cfg.queueCapacity)
+                throw CkptMismatchError(
+                    "request-obs section carries " + std::to_string(recs) +
+                    " timeline records for a queue of depth " +
+                    std::to_string(queue.size()) + " and capacity " +
+                    std::to_string(cfg.queueCapacity));
         for (Request &r : queue) {
             if constexpr (loading)
                 r.timelineSlot = pool.acquire();
@@ -432,23 +434,15 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         ar.nested(flight);
     };
     frame.bind(
-        [&](ckpt::SnapshotWriter &w) {
-            svcSection(w.section(ckpt::kSectionSvc));
-            reqObsSection(w.section(ckpt::kSectionReqObs));
-            ctrl.save(w);
+        [&](auto &io) {
+            io.section(ckpt::kSectionSvc, svcSection);
+            io.section(ckpt::kSectionReqObs, reqObsSection);
+            Controller::sections(ctrl, io);
         },
-        [&](const ckpt::SnapshotReader &reader) {
-            // Fetch every section first so a structurally wrong
-            // snapshot is rejected before any state mutates.
-            auto dSvc = reader.section(ckpt::kSectionSvc);
-            auto dReq = reader.section(ckpt::kSectionReqObs);
-            ctrl.restore(reader);
-            svcSection(dSvc);
-            reqObsSection(dReq);
-            obs::forensics().pressure.store(pressureOn ? 1 : 0);
-            return resolved;
-        });
-    if (!frame.resume())
+        resolved);
+    if (frame.resume())
+        obs::forensics().pressure.store(pressureOn ? 1 : 0);
+    else
         pull();
 
     // --- Scheduler loop ---------------------------------------------

@@ -5,7 +5,8 @@
  * JSONL rendering is valid JSON Lines, and sampler state survives a
  * serde round trip without losing or double-counting rows.  The
  * exact LatencySample cuts nearest-rank percentiles and saves its
- * values as one vecU64 in insertion order.
+ * values as one vecU64 in insertion order.  A registered counter or
+ * histogram keeps its address across later registrations.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,29 @@ TEST(MetricRegistry, CountersKeepIdentityAcrossLookups)
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(b.value, 3u);
     EXPECT_EQ(reg.counterCount(), 1u);
+}
+
+TEST(MetricRegistry, ReferencesSurviveLaterRegistrations)
+{
+    // The service pipeline keeps the counter and histograms it
+    // registers and registers more after them: a registration must
+    // not move the metrics registered before it.
+    MetricRegistry reg;
+    Counter &counter = reg.counter(kMetricSvcSloBreaches);
+    HistogramSink &hist =
+        reg.histogramLog2(kMetricSvcLatency, kDefaultLog2Bins);
+    reg.histogramLog2(kStageQueueWait, kDefaultLog2Bins);
+    reg.histogramLog2(kStageRetryBackoff, kDefaultLog2Bins);
+    reg.histogramLog2(kStageDedupJoin, kDefaultLog2Bins);
+    reg.histogramLog2(kStagePathAccess, kDefaultLog2Bins);
+    reg.histogramLog2(kStageShadowForward, kDefaultLog2Bins);
+    reg.counter(kMetricRequests);
+    reg.counter(kMetricStashHits);
+    reg.counter(kMetricPathReads);
+    reg.counter(kMetricCheckpoints);
+    EXPECT_EQ(&reg.counter(kMetricSvcSloBreaches), &counter);
+    EXPECT_EQ(&reg.histogramLog2(kMetricSvcLatency, kDefaultLog2Bins),
+              &hist);
 }
 
 TEST(MetricRegistry, SampleOrderIsCountersThenGauges)

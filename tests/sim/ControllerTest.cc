@@ -1,8 +1,8 @@
 /**
  * @file
  * The controller assembly's own contracts: which snapshot sections it
- * owns, that restore() fetches every one of them before it loads any
- * (a snapshot missing one leaves the controller and its port
+ * owns, that restore() finds every one of them before it loads any
+ * (a snapshot missing any one leaves the controller and its port
  * untouched), that the issue port without timing protection or
  * virtual dummies is a bare ORAM access, and how the flight label is
  * resolved and published.
@@ -131,25 +131,50 @@ TEST(Controller, ShadowRestoreLackingPolicyMutatesNothing)
     ASSERT_GT(ctrl.oram().stats().dummyAccesses, 0u);
     const std::vector<std::uint8_t> before = image(ctrl);
 
-    // A Tiny controller of the same geometry, driven differently:
-    // its port, ORAM and DRAM sections would load, but it has no
-    // policy section, so the restore must fail before touching any.
+    // Controllers of the same geometry, driven differently: every
+    // section they write would load.  A Tiny one has no policy
+    // section; a Shadow one's snapshot is cut by one section at a
+    // time.  Each restore must fail before touching anything.
     cfg.scheme = Scheme::Tiny;
     Controller tiny(cfg, Controller::FrontEnd::Batch, 1);
     driveIssue(tiny, 200, 5, 9000);
-    const ckpt::SnapshotReader reader(image(tiny));
-    ASSERT_FALSE(reader.hasSection(ckpt::kSectionPolicy));
+    cfg.scheme = Scheme::Shadow;
+    Controller other(cfg, Controller::FrontEnd::Batch, 1);
+    driveIssue(other, 200, 5, 9000);
+    const ckpt::SnapshotReader full(image(other));
     const ckpt::SnapshotReader mine(before);
-    const auto portBytes = [](const ckpt::SnapshotReader &r) {
-        ckpt::Deserializer d = r.section(ckpt::kSectionPort);
+    const auto sectionBytes = [](const ckpt::SnapshotReader &r,
+                                 std::uint32_t id) {
+        ckpt::Deserializer d = r.section(id);
         std::vector<std::uint8_t> b(d.remaining());
         d.bytes(b.data(), b.size());
         return b;
     };
-    ASSERT_NE(portBytes(reader), portBytes(mine));
+    const std::uint32_t sections[] = {
+        ckpt::kSectionPort, ckpt::kSectionOram, ckpt::kSectionPolicy,
+        ckpt::kSectionDram};
+    for (std::uint32_t id : sections)
+        ASSERT_NE(sectionBytes(full, id), sectionBytes(mine, id))
+            << "section " << id;
 
-    EXPECT_THROW(ctrl.restore(reader), CkptMismatchError);
+    const ckpt::SnapshotReader tinyReader(image(tiny));
+    ASSERT_FALSE(tinyReader.hasSection(ckpt::kSectionPolicy));
+    EXPECT_THROW(ctrl.restore(tinyReader), CkptMismatchError);
     EXPECT_EQ(image(ctrl), before);
+
+    for (std::uint32_t drop : sections) {
+        ckpt::SnapshotWriter cut;
+        for (std::uint32_t id : sections) {
+            if (id == drop)
+                continue;
+            const std::vector<std::uint8_t> b = sectionBytes(full, id);
+            cut.section(id).bytes(b.data(), b.size());
+        }
+        EXPECT_THROW(ctrl.restore(ckpt::SnapshotReader(cut.finish(0, 0))),
+                     CkptMismatchError)
+            << "without section " << drop;
+        EXPECT_EQ(image(ctrl), before) << "without section " << drop;
+    }
 }
 
 TEST(Controller, PortDummyCountMustMatchTheOram)

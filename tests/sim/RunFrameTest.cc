@@ -97,13 +97,10 @@ TEST_F(RunFrameCadence, ScrubVetoCommitsNothingButMovesCadenceAndStops)
     bool veto = true;
     unsigned scrubs = 0;
     frame.bind(
-        [&](ckpt::SnapshotWriter &w) {
-            w.section(ckpt::kSectionSvc).u64(count);
+        [&](auto &io) {
+            io.section(ckpt::kSectionSvc, [&](auto &ar) { ar.u64(count); });
         },
-        [&](const ckpt::SnapshotReader &r) {
-            count = r.section(ckpt::kSectionSvc).u64();
-            return count;
-        },
+        count,
         [&] {
             ++scrubs;
             return !veto;

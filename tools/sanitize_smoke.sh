@@ -15,6 +15,10 @@
 # tree.  The checkpoint subsystem joins it: snapshot parsing walks
 # attacker-shaped bytes (truncated, bit-flipped, hostile lengths)
 # where an out-of-bounds read is exactly the bug class ASan catches.
+# Its CkptLayout and CkptServiceForge suites resume every run loop
+# from snapshots that lack one section and the service from forged
+# request-observability state, the paths that must throw before (or
+# instead of) touching state.
 # The stash keeps its entries in a slab with an open-addressed index
 # and intrusive seq lists of raw pointers into the slab, so a missed
 # unlink before a slot is freed, or a probe past the index, is a
